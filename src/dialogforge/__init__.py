@@ -14,23 +14,19 @@ Quick tour::
     print(dialog)
 """
 
-from .agents import END_MARKER, Agent, Persona, new_agent, persona_prompt
+from .agents import END_MARKER, Agent, Persona, persona_prompt
 from .backends import (
     Backend,
     HttpBackend,
     Message,
     SamplingParams,
     ScriptedBackend,
-    http_backend,
-    scripted_backend,
 )
 from .dialog import (
     Dialog,
     Event,
     Turn,
-    append_utterance,
     deserialize_dialog,
-    dialog_length,
     read_dialog_file,
     render_dialog,
     serialize_dialog,
@@ -67,7 +63,6 @@ from .flow import (
 from .generators import GenerationBrief, generate_dialog, generate_persona_dialog
 from .orchestrators import (
     ChangeMindOrchestrator,
-    Instruction,
     InstructionListOrchestrator,
     LengthOrchestrator,
     Orchestrator,
@@ -114,7 +109,6 @@ __all__ = [
     "FlowNode",
     "GenerationBrief",
     "HttpBackend",
-    "Instruction",
     "InstructionListOrchestrator",
     "InvariantViolation",
     "LengthOrchestrator",
@@ -134,27 +128,22 @@ __all__ = [
     "UnserializableSpeaker",
     "WireError",
     "agents_for_scenario",
-    "append_utterance",
     "build_flow_graph",
     "cluster",
     "cosine",
     "describe_flowchart",
     "describe_scenario",
     "deserialize_dialog",
-    "dialog_length",
     "embed",
     "flow_to_dot",
     "generate_dialog",
     "generate_persona_dialog",
-    "http_backend",
     "load_dialog",
     "load_flowchart",
     "load_scenario",
-    "new_agent",
     "persona_prompt",
     "read_dialog_file",
     "render_dialog",
-    "scripted_backend",
     "serialize_dialog",
     "set_dataset_root",
     "write_dialog_file",

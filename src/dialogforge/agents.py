@@ -68,8 +68,13 @@ class Persona:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Persona":
-        known = {attr for attr, _ in _PERSONA_FIELDS}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        """Inverse of ``to_dict``; keys that are not persona fields are rejected."""
+        unknown = set(data).difference(attr for attr, _ in _PERSONA_FIELDS)
+        if unknown:
+            raise ConfigError(
+                f"persona {data.get('name')!r} has unknown fields {sorted(unknown)}"
+            )
+        return cls(**data)
 
 
 def persona_prompt(
@@ -158,46 +163,42 @@ class Agent:
     ) -> tuple[str, list[Event]]:
         """Produce the agent's next utterance given the partner's last one.
 
-        Queries each orchestrator in order; fired instructions are injected
-        as system messages just before generation, emitted as instruct
-        events, and (unless persistent) removed from memory afterwards.
-        The utter event for the reply is the caller's job.
+        Queries each orchestrator in order; each instruction text it fires
+        is placed as a system message between memory and the incoming
+        message for this generation only, and emitted as an instruct event
+        labelled with the orchestrator's name. Instructions from an
+        orchestrator with ``persist`` set also stay in memory. The utter
+        event for the reply is the caller's job.
         """
-        from .orchestrators import Instruction  # local import avoids a cycle
-
         now = clock if clock is not None else (lambda: 0)
         events: list[Event] = []
-        ephemeral: list[Message] = []
+        fired: list[Message] = []
+        kept: list[Message] = []
         for orchestrator in self.orchestrators:
-            fired = orchestrator.instruct(dialog, incoming)
-            if fired is None:
+            text = orchestrator.instruct(dialog, incoming)
+            if text is None:
                 continue
-            if not isinstance(fired, Instruction):
-                fired = Instruction(
-                    text=fired, persist=orchestrator.persist, label=orchestrator.name
-                )
-            message = Message("system", fired.text)
-            self.memory.append(message)
-            if not fired.persist:
-                ephemeral.append(message)
+            if not text:
+                raise InvariantViolation("instruction text must be non-empty")
+            message = Message("system", text)
+            fired.append(message)
+            if orchestrator.persist:
+                kept.append(message)
             events.append(
                 Event(
                     agent=self.name,
                     action="instruct",
-                    action_label=fired.label or orchestrator.name,
-                    text=fired.text,
+                    action_label=orchestrator.name,
+                    text=text,
                     timestamp=now(),
                 )
             )
-        if incoming is not None:
-            self.memory.append(Message("user", incoming))
+        partner = [] if incoming is None else [Message("user", incoming)]
         params = self.params
         if params.seed is None:
             params = replace(params, seed=self.seed)
-        reply = self.backend.complete(self.memory, params)
-        self.memory.append(Message("assistant", reply))
-        if ephemeral:
-            self.memory = [m for m in self.memory if not any(m is e for e in ephemeral)]
+        reply = self.backend.complete(self.memory + fired + partner, params)
+        self.memory += kept + partner + [Message("assistant", reply)]
         return reply, events
 
     def dialog_with(
@@ -257,13 +258,3 @@ class Agent:
             incoming = text
             speaker, listener = listener, speaker
         return dialog
-
-
-def new_agent(
-    backend: Backend,
-    persona: Persona,
-    name: str | None = None,
-    first_utterance: str | None = None,
-    seed: int | None = None,
-) -> Agent:
-    return Agent(backend, persona, name=name, first_utterance=first_utterance, seed=seed)

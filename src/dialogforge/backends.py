@@ -110,10 +110,6 @@ class ScriptedBackend(Backend):
         return reply
 
 
-def scripted_backend(script: list[str], cycle: bool = False) -> ScriptedBackend:
-    return ScriptedBackend(script, cycle=cycle)
-
-
 class HttpBackend(Backend):
     """Wire client for OpenAI-compatible chat-completion endpoints.
 
@@ -152,22 +148,14 @@ class HttpBackend(Backend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
 
-        last_exc: Exception | None = None
         for attempt in range(2):
             try:
                 response = requests.post(url, json=body, headers=headers, timeout=self.timeout)
-            except requests.Timeout as exc:
-                last_exc = exc
-                if attempt == 0:
-                    continue
-                raise WireError(f"timeout after {self.timeout}s talking to {url}") from exc
-            except requests.RequestException as exc:
-                last_exc = exc
-                if attempt == 0:
-                    continue
-                raise WireError(f"transport failure talking to {url}: {exc}") from exc
+            except requests.RequestException as exc:  # Timeout is a subclass
+                if attempt == 1:
+                    raise WireError(f"transport failure talking to {url}: {exc}") from exc
+                continue
             return self._parse_response(response)
-        raise WireError(f"transport failure talking to {url}: {last_exc}")  # unreachable
 
     def _parse_response(self, response: requests.Response) -> str:
         if response.status_code != 200:
@@ -184,12 +172,3 @@ class HttpBackend(Backend):
         if not isinstance(content, str):
             raise WireError("completion content is not a string")
         return content
-
-
-def http_backend(
-    base_url: str,
-    model: str,
-    api_key: str | None = None,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> HttpBackend:
-    return HttpBackend(base_url, model, api_key=api_key, timeout=timeout)

@@ -21,7 +21,13 @@ import click
 
 from .agents import Agent, Persona
 from .backends import BASE_URL_ENV, Backend, HttpBackend, ScriptedBackend
-from .dialog import Dialog, read_dialog_file, render_dialog, write_dialog_file
+from .dialog import (
+    Dialog,
+    read_dialog_file,
+    render_dialog,
+    write_dialog_file,
+    write_text_atomic,
+)
 from .errors import BackendError, ConfigError, DialogForgeError
 from .flow import build_flow_graph, flow_to_dot
 from .orchestrators import (
@@ -81,11 +87,12 @@ def load_runspec(path: str | Path) -> RunSpec:
         if agent_name is not None and agent_name not in personas:
             raise ConfigError(f"orchestrator references unknown persona {agent_name!r}")
 
+    # type() rather than isinstance(): JSON true/false parse as bool, an int subclass
     seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and type(seed) is not int:
         raise ConfigError("'seed' must be an integer")
     max_turns = raw.get("maxTurns", 40)
-    if not isinstance(max_turns, int) or max_turns <= 0:
+    if type(max_turns) is not int or max_turns <= 0:
         raise ConfigError("'maxTurns' must be a positive integer")
     output_dir = raw.get("outputDir", "output")
     if not isinstance(output_dir, str):
@@ -169,11 +176,6 @@ def build_orchestrator(record: dict[str, Any]) -> Orchestrator:
         raise ConfigError(f"bad params for orchestrator {kind!r}: {exc}") from exc
 
 
-_PERSONA_KEYS = {
-    "role", "background", "personality", "circumstances", "rules", "language",
-}
-
-
 def make_agents(spec: RunSpec, backend: Backend) -> tuple[Agent, Agent]:
     """Build the conversing pair; the first persona in the spec initiates."""
     if len(spec.personas) != 2:
@@ -184,10 +186,9 @@ def make_agents(spec: RunSpec, backend: Backend) -> tuple[Agent, Agent]:
     for name, fields in spec.personas.items():
         if not isinstance(fields, dict):
             raise ConfigError(f"persona {name!r} must be an object of persona fields")
-        unknown = set(fields) - _PERSONA_KEYS - {"name", "firstUtterance"}
-        if unknown:
-            raise ConfigError(f"persona {name!r} has unknown fields {sorted(unknown)}")
-        persona = Persona(name=name, **{k: v for k, v in fields.items() if k in _PERSONA_KEYS})
+        # the map key names the persona; a "name" field is ignored
+        persona_fields = {k: v for k, v in fields.items() if k != "firstUtterance"}
+        persona = Persona.from_dict({**persona_fields, "name": name})
         agents[name] = Agent(backend, persona, name=name,
                              first_utterance=fields.get("firstUtterance"))
     first, second = agents.values()
@@ -424,8 +425,7 @@ def flow_cmd(pattern, k, seed, out_path):
         raise ConfigError(f"no parseable dialogues match {pattern!r}")
     graph = build_flow_graph(dialogs, k=k, seed=seed)
     out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(flow_to_dot(graph), encoding="utf-8")
+    write_text_atomic(out, flow_to_dot(graph))
     click.echo(
         f"wrote flow graph ({len(graph.nodes)} nodes, {len(graph.edges)} edges) to {out}",
         err=True,

@@ -10,6 +10,7 @@ newlines inside an utterance to single spaces.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -149,15 +150,6 @@ class Dialog:
                 raise InvariantViolation(f"turn {i} does not match its utter event")
 
 
-def dialog_length(dialog: Dialog) -> int:
-    """Number of turns in the dialog."""
-    return len(dialog.turns)
-
-
-def append_utterance(dialog: Dialog, speaker: str, text: str, timestamp: int = 0) -> Dialog:
-    return dialog.append_utterance(speaker, text, timestamp)
-
-
 def _synth_utter_events(turns: Iterable[Turn]) -> tuple[Event, ...]:
     # Timestamp 0 is the "unknown" sentinel for imported dialogs.
     return tuple(
@@ -192,12 +184,14 @@ def _to_mapping(dialog: Dialog) -> dict[str, Any]:
 def serialize_dialog(dialog: Dialog, format: Format = "structured") -> str:
     """Render a dialog as text.
 
-    "structured" is the canonical lossless JSON document. "plain" is one
+    "structured" is the canonical lossless JSON document; the dialog is
+    validated first, so what is written can be read back. "plain" is one
     "Speaker: text" line per turn; it drops events and metadata, flattens
     newlines inside utterances, and rejects speakers that the format
     cannot represent unambiguously.
     """
     if format == "structured":
+        dialog.validate()
         return json.dumps(_to_mapping(dialog), indent=2, ensure_ascii=False) + "\n"
     if format == "plain":
         lines = []
@@ -211,15 +205,21 @@ def serialize_dialog(dialog: Dialog, format: Format = "structured") -> str:
     raise ConfigError(f"unknown dialog format {format!r}")
 
 
+def _is(value, kinds) -> bool:
+    # bool is an int subclass, but no field of the format holds a boolean,
+    # so JSON true/false never counts as an integer here
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _require(mapping: dict, key: str, kinds, where: str):
-    if key not in mapping or not isinstance(mapping[key], kinds):
+    if key not in mapping or not _is(mapping[key], kinds):
         raise ParseError(f"{where}: missing or invalid {key!r} field")
     return mapping[key]
 
 
 def _optional(mapping: dict, key: str, kinds, where: str):
     value = mapping.get(key)
-    if value is not None and not isinstance(value, kinds):
+    if value is not None and not _is(value, kinds):
         raise ParseError(f"{where}: invalid {key!r} field")
     return value
 
@@ -268,15 +268,13 @@ def _parse_structured(text: str) -> Dialog:
             for i, e in enumerate(raw_events):
                 if not isinstance(e, dict):
                     raise ParseError(f"event {i} must be an object")
-                # bool is an int subclass; timestamps must be real integers
-                ts = _require(e, "timestamp", int, f"event {i}")
                 events.append(
                     Event(
                         agent=_require(e, "agent", str, f"event {i}"),
                         action=_require(e, "action", str, f"event {i}"),
                         action_label=_optional(e, "actionLabel", str, f"event {i}"),
                         text=_require(e, "text", str, f"event {i}"),
-                        timestamp=int(ts),
+                        timestamp=_require(e, "timestamp", int, f"event {i}"),
                     )
                 )
         dialog = Dialog(
@@ -378,12 +376,23 @@ def _format_for(path: Path) -> Format:
         ) from None
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write UTF-8 text through a temp file in the target directory and
+    ``os.replace``, so the target holds either its old or its new content."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text, encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_dialog_file(dialog: Dialog, path: str | Path) -> Path:
     """Write a dialog to disk, picking the format from the file extension."""
     path = Path(path)
-    text = serialize_dialog(dialog, _format_for(path))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    write_text_atomic(path, serialize_dialog(dialog, _format_for(path)))
     return path
 
 

@@ -167,12 +167,6 @@ class FlowGraph:
     nodes: tuple[FlowNode, ...]
     edges: tuple[FlowEdge, ...]
 
-    def node(self, node_id: str) -> FlowNode:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        raise KeyError(node_id)
-
 
 def validate_flow_graph(graph: FlowGraph, tolerance: float = 1e-9) -> None:
     """Check per-source probability normalization; raise ConfigError on breach."""
@@ -237,8 +231,22 @@ def build_flow_graph(
     nodes: list[FlowNode] = []
     for side_index, side in enumerate(sides):
         member_indices = [g for s, g, _ in utterances if s == side_index]
-        model = cluster([vectors[g] for g in member_indices], side_ks[side_index],
-                        seed=seed + side_index)
+        try:
+            model = cluster([vectors[g] for g in member_indices], side_ks[side_index],
+                            seed=seed + side_index)
+        except ConfigError as exc:
+            distinct = [
+                len({vectors[g].tobytes() for s, g, _ in utterances if s == i})
+                for i in range(len(sides))
+            ]
+            largest = distinct[0]
+            if len(sides) == 2:  # sides get ceil(k/2) and floor(k/2) clusters
+                largest = min(2 * distinct[0], 2 * distinct[1] + 1)
+            raise ConfigError(
+                f"k={k} gives speaker side {side!r} {side_ks[side_index]} clusters, but it "
+                f"has only {distinct[side_index]} distinct utterance vectors; "
+                f"the largest usable k is {largest}"
+            ) from exc
         groups: dict[int, list[int]] = {}
         for local, g in enumerate(member_indices):
             cluster_id = model.assignments[local]

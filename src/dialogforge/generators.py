@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .agents import Agent, Persona
 from .backends import Backend, Message, SamplingParams
-from .dialog import Dialog, Event, Turn
-from .errors import ConfigError, InvariantViolation, SchemaViolation
+from .dialog import Dialog, Turn, _synth_utter_events
+from .errors import InvariantViolation, SchemaViolation
 from .seeding import entropy_seed
 
 SCHEMA_PROMPT = (
@@ -39,7 +39,6 @@ class GenerationBrief:
     details: str
     speaker_a: str
     speaker_b: str
-    example_count: int = 1
 
     def __post_init__(self):
         if not self.details.strip():
@@ -48,8 +47,6 @@ class GenerationBrief:
             raise InvariantViolation("speaker labels must be non-empty")
         if self.speaker_a == self.speaker_b:
             raise InvariantViolation("speaker labels must be distinct")
-        if self.example_count < 1:
-            raise InvariantViolation("example_count must be positive")
 
 
 def _strip_fences(text: str) -> str:
@@ -100,10 +97,6 @@ def generate_dialog(
     exception carries the raw completion). Model and seed are always
     stamped on the result.
     """
-    if brief.example_count != 1:
-        raise ConfigError(
-            "only example_count=1 is supported (single-dialogue generation)"
-        )
     if seed is None:
         seed = entropy_seed()
     params = SamplingParams(seed=seed)
@@ -116,11 +109,8 @@ def generate_dialog(
         messages = messages + [Message("assistant", completion), Message("user", FIX_PROMPT)]
         completion = backend.complete(messages, params)
         turns = _parse_turns(completion, brief)
-    events = tuple(
-        Event(agent=t.speaker, action="utter", action_label=None, text=t.text, timestamp=0)
-        for t in turns
-    )
-    return Dialog(model=backend.model, seed=seed, turns=tuple(turns), events=events)
+    return Dialog(model=backend.model, seed=seed, turns=tuple(turns),
+                  events=_synth_utter_events(turns))
 
 
 def generate_persona_dialog(

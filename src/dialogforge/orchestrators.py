@@ -1,22 +1,22 @@
 """Orchestrators: per-agent policies that inject instructions before a turn.
 
 An orchestrator sees the dialog so far plus the partner's last utterance
-and may return an instruction (text or Instruction) to be placed in the
-agent's prompt memory for the upcoming generation. Orchestrators compose
-in attachment order: ``agent | length_orch | mind_orch``. State is owned
-by the attached agent and cleared on agent reset.
+and may return one instruction text to be placed in the agent's prompt
+for the upcoming generation. Orchestrators compose in attachment order:
+``agent | length_orch | mind_orch``. State is owned by the attached agent
+and cleared on agent reset.
 
 The exact instruction strings live in the MESSAGES catalog below so
-golden tests stay stable; every built-in accepts overrides.
+golden tests stay stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
+from .agents import END_MARKER
 from .dialog import Dialog
-from .errors import ConfigError, InvariantViolation
+from .errors import ConfigError
 from .flow import cosine, embed
 
 if TYPE_CHECKING:
@@ -41,26 +41,15 @@ MESSAGES = {
 }
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """One injected instruction: its text, persistence, and emitting label."""
-
-    text: str
-    persist: bool = False
-    label: str = ""
-
-    def __post_init__(self):
-        if not self.text:
-            raise InvariantViolation("instruction text must be non-empty")
-
-
 class Orchestrator:
     """Base class for all orchestrators.
 
-    Subclasses implement ``instruct(dialog, utterance)`` and return an
-    instruction (str or Instruction) to intervene, or None to stay silent.
+    Subclasses implement ``instruct(dialog, utterance)`` and return a
+    non-empty instruction text to intervene, or None to stay silent.
     ``utterance`` is the partner's last utterance, None on the agent's
-    first move. Override ``reset`` when keeping per-dialogue state.
+    first move. The agent labels the instruct event with ``name`` and keeps
+    the instruction in memory when ``persist`` is set. Override ``reset``
+    when keeping per-dialogue state.
     """
 
     def __init__(self, name: str | None = None, persist: bool = False):
@@ -80,7 +69,7 @@ class Orchestrator:
     def reset(self) -> None:
         pass
 
-    def instruct(self, dialog: Dialog, utterance: str | None) -> Instruction | str | None:
+    def instruct(self, dialog: Dialog, utterance: str | None) -> str | None:
         raise NotImplementedError
 
     def _rng(self):
@@ -128,8 +117,6 @@ class LengthOrchestrator(Orchestrator):
         max_turns: int,
         name: str | None = None,
         persist: bool = False,
-        continue_text: str | None = None,
-        finish_text: str | None = None,
     ):
         super().__init__(name=name, persist=persist)
         if min_turns <= 0 or max_turns <= 0:
@@ -138,18 +125,13 @@ class LengthOrchestrator(Orchestrator):
             raise ConfigError(f"min_turns {min_turns} exceeds max_turns {max_turns}")
         self.min_turns = min_turns
         self.max_turns = max_turns
-        self.continue_text = continue_text if continue_text is not None else MESSAGES["continue"]
-        self.finish_text = finish_text
-        self._fallback_marker = "[END]"
 
     def instruct(self, dialog: Dialog, utterance: str | None):
         length = len(dialog)
         if length < self.min_turns:
-            return self.continue_text
+            return MESSAGES["continue"]
         if length >= self.max_turns:
-            if self.finish_text is not None:
-                return self.finish_text
-            marker = self.agent.end_marker if self.agent else self._fallback_marker
+            marker = self.agent.end_marker if self.agent else END_MARKER
             return MESSAGES["finish"].format(end_marker=marker)
         return None
 
@@ -209,7 +191,6 @@ class SimpleResponseOrchestrator(Orchestrator):
         candidates: list[str],
         top_k: int | None = None,
         name: str | None = None,
-        header: str | None = None,
     ):
         super().__init__(name=name, persist=False)
         if not candidates:
@@ -220,19 +201,14 @@ class SimpleResponseOrchestrator(Orchestrator):
             raise ConfigError(f"top_k must be in [1, {len(candidates)}], got {top_k}")
         self.candidates = list(candidates)
         self.top_k = top_k
-        self.header = header if header is not None else MESSAGES["suggestions"]
         self._vectors = [embed(c) for c in self.candidates]
 
     def instruct(self, dialog: Dialog, utterance: str | None):
         if utterance is None:
             return None
-        query = embed(utterance)
-        scored = sorted(
-            zip(self.candidates, self._vectors),
-            key=lambda pair: -cosine(query, pair[1]),
-        )
-        lines = [self.header]
-        lines += [f"{i}. {text}" for i, (text, _) in enumerate(scored[: self.top_k], start=1)]
+        ranked = self.rank(utterance)[: self.top_k]
+        lines = [MESSAGES["suggestions"]]
+        lines += [f"{i}. {text}" for i, text in enumerate(ranked, start=1)]
         return "\n".join(lines)
 
     def rank(self, utterance: str) -> list[str]:

@@ -6,6 +6,7 @@ import pytest
 
 from dialogforge import (
     Agent,
+    ConfigError,
     Dialog,
     DuplicateAgentName,
     InvariantViolation,
@@ -38,6 +39,10 @@ class TestPersona:
 
     def test_from_dict_round_trip(self):
         assert Persona.from_dict(ALICE.to_dict()) == ALICE
+
+    def test_from_dict_rejects_unknown_keys(self):
+        with pytest.raises(ConfigError, match=r"'Alice'.*\['mood'\]"):
+            Persona.from_dict({"name": "Alice", "mood": "sunny"})
 
 
 class TestPersonaPrompt:

@@ -83,6 +83,14 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "--spec", str(bad)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("field", ["seed", "maxTurns"])
+    def test_boolean_integer_field_exits_1(self, runner, tmp_path, field):
+        # a boolean seed would be written as "seed": true, which the parser rejects
+        spec = write_spec(tmp_path / "spec.json", **{field: True})
+        result = runner.invoke(main, ["generate", "--spec", str(spec)])
+        assert result.exit_code == 1
+        assert not (tmp_path / "out").exists()
+
     def test_missing_spec_exits_1(self, runner, tmp_path):
         result = runner.invoke(main, ["generate", "--spec", str(tmp_path / "nope.json")])
         assert result.exit_code == 1
@@ -98,6 +106,15 @@ class TestGenerate:
                           backend={"scripted": ["only one line"], "cycle": False})
         result = runner.invoke(main, ["generate", "--spec", str(spec)])
         assert result.exit_code == 2
+
+    def test_unknown_persona_field_exits_1(self, runner, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", personas={
+            "Alice": {"role": "barista", "mood": "sunny"},
+            "Bob": {"name": "ignored", "role": "customer"},
+        })
+        result = runner.invoke(main, ["generate", "--spec", str(spec)])
+        assert result.exit_code == 1
+        assert "persona 'Alice' has unknown fields ['mood']" in result.output
 
     def test_unknown_orchestrator_type_exits_1(self, runner, tmp_path):
         spec = write_spec(tmp_path / "spec.json",

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from dialogforge import (
     BadTurnLine,
@@ -19,7 +19,6 @@ from dialogforge import (
     Turn,
     UnserializableSpeaker,
     deserialize_dialog,
-    dialog_length,
     read_dialog_file,
     render_dialog,
     serialize_dialog,
@@ -62,11 +61,10 @@ class TestEvent:
 
 class TestDialogOps:
     def test_length_counts_turns(self):
-        assert dialog_length(two_turn_dialog()) == 2
         assert len(two_turn_dialog()) == 2
 
     def test_empty_dialog_length_zero(self):
-        assert dialog_length(Dialog()) == 0
+        assert len(Dialog()) == 0
 
     def test_six_turn_dialog_passes_min_filter(self):
         d = Dialog()
@@ -140,6 +138,11 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):
             serialize_dialog(Dialog(), "yaml")
+
+    def test_structured_refuses_what_it_cannot_read_back(self):
+        # a turn without its paired utter event would fail on parse
+        with pytest.raises(InvariantViolation):
+            serialize_dialog(Dialog(turns=(Turn("A", "x"),)), "structured")
 
 
 class TestDeserialization:
@@ -219,6 +222,19 @@ def test_structured_round_trip_property(d):
     assert deserialize_dialog(serialize_dialog(d, "structured"), "structured") == d
 
 
+@given(dialogs(), st.sampled_from(["id", "seed", "timestamp"]), st.booleans(), st.data())
+def test_boolean_in_integer_field_rejected_property(d, field, value, data):
+    doc = json.loads(serialize_dialog(d, "structured"))
+    if field == "timestamp":
+        assume(doc["events"])
+        index = data.draw(st.integers(0, len(doc["events"]) - 1))
+        doc["events"][index]["timestamp"] = value
+    else:
+        doc[field] = value
+    with pytest.raises(ParseError):
+        deserialize_dialog(json.dumps(doc), "structured")
+
+
 @given(dialogs())
 def test_plain_projection_property(d):
     back = deserialize_dialog(serialize_dialog(d, "plain"), "plain")
@@ -281,6 +297,16 @@ class TestFileIO:
         assert [(t.speaker, t.text) for t in back.turns] == [
             (t.speaker, t.text) for t in d.turns
         ]
+
+    def test_failed_write_keeps_existing_file(self, tmp_path):
+        path = write_dialog_file(two_turn_dialog(), tmp_path / "dialog.json")
+        before = path.read_bytes()
+        # a lone surrogate serializes to str but fails while being encoded
+        broken = Dialog().append_utterance("Alice", "half \ud800 written", 0)
+        with pytest.raises(UnicodeEncodeError):
+            write_dialog_file(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["dialog.json"]
 
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(ConfigError):

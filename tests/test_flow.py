@@ -100,6 +100,17 @@ class TestCluster:
 
 
 class TestBuildFlowGraph:
+    def test_k_above_side_distinct_names_side_and_largest_k(self):
+        d = (Dialog()
+             .append_utterance("A", "hello there", 0)
+             .append_utterance("B", "same", 1)
+             .append_utterance("A", "goodbye now", 2)
+             .append_utterance("B", "same", 3))
+        # k=4 asks for 2 B-clusters, but B has one distinct utterance
+        with pytest.raises(ConfigError, match=r"side 'B'.*largest usable k is 3$"):
+            build_flow_graph([d], k=4, seed=0)
+        build_flow_graph([d], k=3, seed=0)
+
     def test_single_dialog_is_a_path(self):
         d = (Dialog()
              .append_utterance("A", "hello there", 0)

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from dialogforge import (
-    ConfigError,
     DuplicateAgentName,
     GenerationBrief,
     InvariantViolation,
@@ -41,12 +40,6 @@ class TestBrief:
     def test_equal_speakers_rejected(self):
         with pytest.raises(InvariantViolation):
             GenerationBrief(details="x", speaker_a="A", speaker_b="A")
-
-    def test_example_count_above_one_unsupported(self):
-        brief = GenerationBrief(details="x", speaker_a="A", speaker_b="B",
-                                example_count=2)
-        with pytest.raises(ConfigError):
-            generate_dialog(ScriptedBackend([VALID_ARRAY]), brief)
 
 
 class TestGenerateDialog:

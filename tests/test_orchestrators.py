@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from dialogforge import Agent, ConfigError, Dialog, Persona, ScriptedBackend
+from dialogforge import (
+    Agent,
+    ConfigError,
+    Dialog,
+    InvariantViolation,
+    Persona,
+    ScriptedBackend,
+)
 from dialogforge.orchestrators import (
     MESSAGES,
     ChangeMindOrchestrator,
-    Instruction,
     InstructionListOrchestrator,
     LengthOrchestrator,
+    Orchestrator,
     SimpleReflexOrchestrator,
     SimpleResponseOrchestrator,
 )
@@ -33,8 +40,13 @@ def dialog_of_length(n: int) -> Dialog:
 
 class TestInstruction:
     def test_empty_text_rejected(self):
-        with pytest.raises(Exception):
-            Instruction(text="")
+        class EmptyText(Orchestrator):
+            def instruct(self, dialog, utterance):
+                return ""
+
+        agent = make_agent() | EmptyText()
+        with pytest.raises(InvariantViolation):
+            agent.respond("hi", Dialog())
 
 
 class TestAttach:
