@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 from .backends import Backend, Message, SamplingParams
-from .dialog import Dialog, Event
+from .dialog import Dialog, Event, _optional, _require
 from .errors import ConfigError, DuplicateAgentName, InvariantViolation
 from .seeding import derive_seed, entropy_seed
 
@@ -68,13 +68,15 @@ class Persona:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Persona":
-        """Inverse of ``to_dict``; keys that are not persona fields are rejected."""
+        """Inverse of ``to_dict``: ``name`` is required, every field is a
+        string or null, and keys that are not persona fields are rejected."""
+        where = f"persona {data.get('name')!r}"
         unknown = set(data).difference(attr for attr, _ in _PERSONA_FIELDS)
         if unknown:
-            raise ConfigError(
-                f"persona {data.get('name')!r} has unknown fields {sorted(unknown)}"
-            )
-        return cls(**data)
+            raise ConfigError(f"{where} has unknown fields {sorted(unknown)}")
+        _require(data, "name", str, where, ConfigError)
+        return cls(**{attr: _optional(data, attr, str, where, ConfigError)
+                      for attr, _ in _PERSONA_FIELDS})
 
 
 def persona_prompt(

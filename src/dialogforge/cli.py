@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import functools
 import glob as globlib
-import json
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import click
 
@@ -23,6 +22,9 @@ from .agents import Agent, Persona
 from .backends import BASE_URL_ENV, Backend, HttpBackend, ScriptedBackend
 from .dialog import (
     Dialog,
+    _optional,
+    _read_json,
+    _require,
     read_dialog_file,
     render_dialog,
     write_dialog_file,
@@ -41,6 +43,10 @@ from .orchestrators import (
 from .scenarios import agents_for_scenario, load_scenario, set_dataset_root
 from .seeding import entropy_seed
 
+# run-spec fields are read with the dialog parser's typed-field reader
+_need = functools.partial(_require, error=ConfigError)
+_may = functools.partial(_optional, error=ConfigError)
+
 
 @dataclass
 class RunSpec:
@@ -55,18 +61,8 @@ class RunSpec:
 
 
 def load_runspec(path: str | Path) -> RunSpec:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"spec file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("spec file must contain a JSON object")
-
-    backend = raw.get("backend")
-    if not isinstance(backend, dict):
-        raise ConfigError("spec needs a 'backend' object")
+    raw = _read_json(Path(path), "spec file", ConfigError)
+    backend = _need(raw, "backend", dict, "spec")
     has_wire = "baseUrl" in backend or "model" in backend
     has_script = "scripted" in backend
     if has_wire == has_script:
@@ -74,36 +70,24 @@ def load_runspec(path: str | Path) -> RunSpec:
             "backend must be exactly one of {baseUrl, model} or {scripted: [...]}"
         )
 
-    personas = raw.get("personas", {})
-    if not isinstance(personas, dict):
-        raise ConfigError("'personas' must be a map of name -> persona fields")
-    orchestrators = raw.get("orchestrators", [])
-    if not isinstance(orchestrators, list):
-        raise ConfigError("'orchestrators' must be a list of {type, params} records")
+    personas = _may(raw, "personas", dict, "spec", default={})
+    orchestrators = _may(raw, "orchestrators", list[dict], "spec", default=[])
     for record in orchestrators:
-        if not isinstance(record, dict) or "type" not in record:
-            raise ConfigError("each orchestrator record needs a 'type'")
-        agent_name = record.get("agent")
+        _need(record, "type", str, "orchestrator record")
+        agent_name = _may(record, "agent", str, "orchestrator record")
         if agent_name is not None and agent_name not in personas:
             raise ConfigError(f"orchestrator references unknown persona {agent_name!r}")
 
-    # type() rather than isinstance(): JSON true/false parse as bool, an int subclass
-    seed = raw.get("seed")
-    if seed is not None and type(seed) is not int:
-        raise ConfigError("'seed' must be an integer")
-    max_turns = raw.get("maxTurns", 40)
-    if type(max_turns) is not int or max_turns <= 0:
+    max_turns = _may(raw, "maxTurns", int, "spec", default=40)
+    if max_turns <= 0:
         raise ConfigError("'maxTurns' must be a positive integer")
-    output_dir = raw.get("outputDir", "output")
-    if not isinstance(output_dir, str):
-        raise ConfigError("'outputDir' must be a string")
     return RunSpec(
         backend=backend,
         personas=personas,
         orchestrators=orchestrators,
-        seed=seed,
+        seed=_may(raw, "seed", int, "spec"),
         max_turns=max_turns,
-        output_dir=output_dir,
+        output_dir=_may(raw, "outputDir", str, "spec", default="output"),
     )
 
 
@@ -116,45 +100,50 @@ def make_backend(
     """Build a fresh backend from the spec (flags > spec file > env)."""
     conf = spec.backend
     if "scripted" in conf:
-        script = conf["scripted"]
-        if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
-            raise ConfigError("'scripted' must be a list of strings")
+        script = _need(conf, "scripted", list[str], "backend")
         # scripts loop by default so run length is governed by maxTurns
-        return ScriptedBackend(script, cycle=bool(conf.get("cycle", True)))
-    url = base_url or conf.get("baseUrl") or os.environ.get(BASE_URL_ENV)
+        return ScriptedBackend(script, cycle=_may(conf, "cycle", bool, "backend", default=True))
+    url = base_url or _may(conf, "baseUrl", str, "backend") or os.environ.get(BASE_URL_ENV)
     if not url:
         raise ConfigError(
             f"no backend URL: set backend.baseUrl, --base-url, or {BASE_URL_ENV}"
         )
-    model_name = model or conf.get("model")
+    model_name = model or _may(conf, "model", str, "backend")
     if not model_name:
         raise ConfigError("no model name: set backend.model or --model")
     return HttpBackend(url, model_name, api_key=api_key)
 
 
+# builders read params with need(key, kinds) and may(key, kinds, default=None)
 _ORCHESTRATOR_BUILDERS = {
-    "length": lambda p: LengthOrchestrator(
-        min_turns=int(p["min"]), max_turns=int(p["max"])
+    "length": lambda need, may: LengthOrchestrator(
+        min_turns=need("min", int), max_turns=need("max", int)
     ),
-    "change_mind": lambda p: ChangeMindOrchestrator(
-        probability=float(p["probability"]),
-        reasons=p.get("reasons"),
-        max_times=int(p.get("maxTimes", 1)),
+    "change_mind": lambda need, may: ChangeMindOrchestrator(
+        probability=need("probability", (int, float)),
+        reasons=may("reasons", list[str]),
+        max_times=may("maxTimes", int, default=1),
     ),
-    "simple_reflex": lambda p: SimpleReflexOrchestrator(
-        condition=functools.partial(_contains, str(p["contains"]).lower()),
-        instruction=str(p["instruction"]),
-        persist=bool(p.get("persist", False)),
+    "simple_reflex": lambda need, may: SimpleReflexOrchestrator(
+        condition=functools.partial(_contains, need("contains", str).lower()),
+        instruction=need("instruction", str),
+        persist=may("persist", bool, default=False),
     ),
-    "simple_response": lambda p: SimpleResponseOrchestrator(
-        candidates=list(p["candidates"]),
-        top_k=None if p.get("topK") is None else int(p["topK"]),
+    "simple_response": lambda need, may: SimpleResponseOrchestrator(
+        candidates=need("candidates", list[str]),
+        top_k=may("topK", int),
     ),
-    "instruction_list": lambda p: InstructionListOrchestrator(
-        plan={int(k): str(v) for k, v in p["plan"].items()},
-        persist=bool(p.get("persist", False)),
+    "instruction_list": lambda need, may: InstructionListOrchestrator(
+        plan=_read_plan(need("plan", dict)),
+        persist=may("persist", bool, default=False),
     ),
 }
+
+
+def _read_plan(plan: dict[str, Any]) -> dict[int, str]:
+    if not all(key.isascii() and key.isdigit() for key in plan):
+        raise ConfigError(f"plan keys must be decimal turn indices, got {sorted(plan)}")
+    return {int(key): _need(plan, key, str, "plan") for key in plan}
 
 
 def _contains(needle: str, utterance: str) -> bool:
@@ -162,18 +151,17 @@ def _contains(needle: str, utterance: str) -> bool:
 
 
 def build_orchestrator(record: dict[str, Any]) -> Orchestrator:
-    kind = record.get("type")
+    kind = record["type"]
     builder = _ORCHESTRATOR_BUILDERS.get(kind)
     if builder is None:
         raise ConfigError(
             f"unknown orchestrator type {kind!r} "
             f"(expected one of {sorted(_ORCHESTRATOR_BUILDERS)})"
         )
-    params = record.get("params", {})
-    try:
-        return builder(params)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad params for orchestrator {kind!r}: {exc}") from exc
+    where = f"orchestrator {kind!r} params"
+    params = _may(record, "params", dict, where, default={})
+    return builder(functools.partial(_need, params, where=where),
+                   functools.partial(_may, params, where=where))
 
 
 def make_agents(spec: RunSpec, backend: Backend) -> tuple[Agent, Agent]:
@@ -183,14 +171,13 @@ def make_agents(spec: RunSpec, backend: Backend) -> tuple[Agent, Agent]:
             f"spec must define exactly two personas, found {len(spec.personas)}"
         )
     agents: dict[str, Agent] = {}
-    for name, fields in spec.personas.items():
-        if not isinstance(fields, dict):
-            raise ConfigError(f"persona {name!r} must be an object of persona fields")
+    for name in spec.personas:
+        fields = _need(spec.personas, name, dict, "personas")
         # the map key names the persona; a "name" field is ignored
         persona_fields = {k: v for k, v in fields.items() if k != "firstUtterance"}
         persona = Persona.from_dict({**persona_fields, "name": name})
-        agents[name] = Agent(backend, persona, name=name,
-                             first_utterance=fields.get("firstUtterance"))
+        first = _may(fields, "firstUtterance", str, f"persona {name!r}")
+        agents[name] = Agent(backend, persona, name=name, first_utterance=first)
     first, second = agents.values()
     for record in spec.orchestrators:
         target = record.get("agent") or first.name
@@ -376,6 +363,17 @@ def print_cmd(file, show_scenario, show_orchestration):
     )
 
 
+def _read_dialogs(pattern: str) -> Iterator[tuple[str, Dialog]]:
+    """(path, dialog) per matching file in sorted order; unreadable files are skipped."""
+    for path in sorted(globlib.glob(pattern)):
+        try:
+            dialog = read_dialog_file(path)
+        except (DialogForgeError, OSError) as exc:
+            click.echo(f"warning: skipping {path}: {exc}", err=True)
+            continue
+        yield path, dialog
+
+
 @main.command("filter")
 @click.argument("pattern")
 @click.option("--min-turns", default=0, type=int, help="Keep dialogs with >= N turns.")
@@ -385,12 +383,7 @@ def print_cmd(file, show_scenario, show_orchestration):
 def filter_cmd(pattern, min_turns, contains):
     """List dialogue files matching length/content criteria."""
     matches = []
-    for path in sorted(globlib.glob(pattern)):
-        try:
-            dialog = read_dialog_file(path)
-        except (DialogForgeError, OSError) as exc:
-            click.echo(f"warning: skipping {path}: {exc}", err=True)
-            continue
+    for path, dialog in _read_dialogs(pattern):
         if len(dialog) < min_turns:
             continue
         if contains is not None and not any(
@@ -415,12 +408,7 @@ def filter_cmd(pattern, min_turns, contains):
 @handle_errors
 def flow_cmd(pattern, k, seed, out_path):
     """Extract an action-transition graph from a dialogue corpus as DOT."""
-    dialogs = []
-    for path in sorted(globlib.glob(pattern)):
-        try:
-            dialogs.append(read_dialog_file(path))
-        except (DialogForgeError, OSError) as exc:
-            click.echo(f"warning: skipping {path}: {exc}", err=True)
+    dialogs = [dialog for _, dialog in _read_dialogs(pattern)]
     if not dialogs:
         raise ConfigError(f"no parseable dialogues match {pattern!r}")
     graph = build_flow_graph(dialogs, k=k, seed=seed)

@@ -205,23 +205,45 @@ def serialize_dialog(dialog: Dialog, format: Format = "structured") -> str:
     raise ConfigError(f"unknown dialog format {format!r}")
 
 
+# The one reader of typed JSON fields (dialog files, run specs, personas,
+# scenarios, flowcharts): values are checked, never coerced, and each caller
+# names the error class its input raises. kinds is a type, a tuple of types,
+# or list[T] for a list whose items are all of type T.
 def _is(value, kinds) -> bool:
-    # bool is an int subclass, but no field of the format holds a boolean,
-    # so JSON true/false never counts as an integer here
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    try:
+        # bool is an int subclass: JSON true/false counts only where kinds is bool
+        return isinstance(value, kinds) and (not isinstance(value, bool) or kinds is bool)
+    except TypeError:  # isinstance() refuses list[T]; check each item against T
+        return isinstance(value, list) and all(map(_is, value, kinds.__args__ * len(value)))
 
 
-def _require(mapping: dict, key: str, kinds, where: str):
-    if key not in mapping or not _is(mapping[key], kinds):
-        raise ParseError(f"{where}: missing or invalid {key!r} field")
-    return mapping[key]
-
-
-def _optional(mapping: dict, key: str, kinds, where: str):
+def _require(mapping: dict, key: str, kinds, where: str, error=ParseError):
     value = mapping.get(key)
-    if value is not None and not _is(value, kinds):
-        raise ParseError(f"{where}: invalid {key!r} field")
+    if not _is(value, kinds):
+        raise error(f"{where}: missing or invalid {key!r} field")
     return value
+
+
+def _optional(mapping: dict, key: str, kinds, where: str, error=ParseError, default=None):
+    # null reads as absent only where the default is None
+    value = mapping.get(key, default)
+    if value is None:
+        if default is None:
+            return None
+    elif _is(value, kinds):
+        return value
+    raise error(f"{where}: invalid {key!r} field")
+
+
+def _read_json(path: Path, what: str, error=ParseError) -> dict[str, Any]:
+    """The JSON object stored in ``path``; any other content raises ``error``."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{what} {path} must contain a JSON object")
+    return data
 
 
 def deserialize_dialog(text: str, format: Format = "structured") -> Dialog:

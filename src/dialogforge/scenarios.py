@@ -13,17 +13,26 @@ accepted on input and normalized.
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 from .agents import Agent, Persona
 from .backends import Backend
-from .dialog import Dialog, deserialize_dialog
+from .dialog import Dialog, _optional, _read_json, _require, deserialize_dialog
 from .errors import InvariantViolation, NotADirectory, NotFound, ParseError
 from .flow import END_NODE, START_NODE, FlowEdge, FlowGraph, FlowNode
-from .seeding import derive_seed
+
+
+# an ill-typed scenario or flowchart field breaks the object's invariants
+_need = functools.partial(_require, error=InvariantViolation)
+_may = functools.partial(_optional, error=InvariantViolation)
+
+
+def _spelling(mapping: dict[str, Any], *names: str) -> str:
+    """The first of ``names`` present in ``mapping``, else the first name."""
+    return next((name for name in names if name in mapping), names[0])
 
 
 @dataclass(frozen=True)
@@ -58,33 +67,24 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Scenario":
-        def pick(*names, default=None):
-            for name in names:
-                if name in data:
-                    return data[name]
-            return default
+        def read(kinds, *names, default=None):
+            return _may(data, _spelling(data, *names), kinds, "scenario", default=default)
 
-        raw_caps = pick("WizardCapabilities", "wizardCapabilities", "capabilities",
-                        default=[]) or []
         capabilities = []
-        for cap in raw_caps:
-            if not isinstance(cap, dict):
-                raise InvariantViolation("capabilities must be objects")
-            task = cap.get("Task", cap.get("task"))
-            domain = cap.get("Domain", cap.get("domain"))
+        for i, cap in enumerate(read(list[dict], "WizardCapabilities", "wizardCapabilities",
+                                     "capabilities") or ()):
+            task = _need(cap, _spelling(cap, "Task", "task"), str, f"capability {i}")
+            domain = _need(cap, _spelling(cap, "Domain", "domain"), str, f"capability {i}")
             if not task or not domain:
                 raise InvariantViolation("capability needs Task and Domain")
             capabilities.append(Capability(task=task, domain=domain))
-        domains = pick("Domains", "domains", default=None)
-        if not domains:
-            raise InvariantViolation("scenario needs at least one domain")
         return cls(
-            domains=tuple(domains),
-            user_task=pick("UserTask", "userTask", "user_task", default="") or "",
-            wizard_task=pick("WizardTask", "wizardTask", "wizard_task", default="") or "",
-            happy=bool(pick("Happy", "happy", default=True)),
-            multi_task=bool(pick("MultiTask", "multiTask", "multi_task", default=False)),
-            capabilities=tuple(capabilities),
+            domains=_need(data, _spelling(data, "Domains", "domains"), list[str], "scenario"),
+            user_task=read(str, "UserTask", "userTask", "user_task") or "",
+            wizard_task=read(str, "WizardTask", "wizardTask", "wizard_task") or "",
+            happy=read(bool, "Happy", "happy", default=True),
+            multi_task=read(bool, "MultiTask", "multiTask", "multi_task", default=False),
+            capabilities=capabilities,
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -146,15 +146,19 @@ class Flowchart:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Flowchart":
-        nodes = tuple(
-            ChartNode(id=n["id"], label=n["label"], entry=bool(n.get("entry", False)))
-            for n in data.get("nodes", [])
-        )
-        edges = tuple(
-            ChartEdge(source=e["from"], target=e["to"], label=e.get("label"))
-            for e in data.get("edges", [])
-        )
-        return cls(task=data.get("task", ""), nodes=nodes, edges=edges)
+        nodes = [
+            ChartNode(id=_need(n, "id", str, f"node {i}"),
+                      label=_need(n, "label", str, f"node {i}"),
+                      entry=_may(n, "entry", bool, f"node {i}", default=False))
+            for i, n in enumerate(_may(data, "nodes", list[dict], "flowchart", default=[]))
+        ]
+        edges = [
+            ChartEdge(source=_need(e, "from", str, f"edge {i}"),
+                      target=_need(e, "to", str, f"edge {i}"),
+                      label=_may(e, "label", str, f"edge {i}"))
+            for i, e in enumerate(_may(data, "edges", list[dict], "flowchart", default=[]))
+        ]
+        return cls(task=_may(data, "task", str, "flowchart") or "", nodes=nodes, edges=edges)
 
 
 @dataclass(frozen=True)
@@ -172,13 +176,6 @@ def set_dataset_root(path: str | Path) -> DatasetRoot:
     return DatasetRoot(path=resolved)
 
 
-def _read_json(path: Path, what: str):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{what} {path.name}: {exc}") from exc
-
-
 def load_dialog(root: DatasetRoot, dialog_id: int) -> Dialog:
     """Load dialogues/{id}.json, attaching scenarios/{id}.json when present."""
     path = root.path / "dialogues" / f"{dialog_id}.json"
@@ -187,10 +184,7 @@ def load_dialog(root: DatasetRoot, dialog_id: int) -> Dialog:
     dialog = deserialize_dialog(path.read_text(encoding="utf-8"), "structured")
     scenario_path = root.path / "scenarios" / f"{dialog_id}.json"
     if scenario_path.is_file():
-        scenario = _read_json(scenario_path, "scenario")
-        if not isinstance(scenario, dict):
-            raise ParseError(f"scenario {dialog_id} must be an object")
-        dialog = replace(dialog, scenario=scenario)
+        dialog = replace(dialog, scenario=_read_json(scenario_path, "scenario"))
     return dialog
 
 
@@ -199,11 +193,8 @@ def load_scenario(root: DatasetRoot, dialog_id: int) -> Scenario:
     path = root.path / "scenarios" / f"{dialog_id}.json"
     if not path.is_file():
         raise NotFound(f"no scenario with id {dialog_id} under {root.path}", dialog_id)
-    data = _read_json(path, "scenario")
-    if not isinstance(data, dict):
-        raise ParseError(f"scenario {dialog_id} must be an object")
     try:
-        return Scenario.from_dict(data)
+        return Scenario.from_dict(_read_json(path, "scenario"))
     except InvariantViolation as exc:
         raise ParseError(f"scenario {dialog_id}: {exc}") from exc
 
@@ -213,10 +204,9 @@ def load_flowchart(root: DatasetRoot, domain: str, task: str) -> Flowchart:
     path = root.path / "flowcharts" / domain / f"{task}.json"
     if not path.is_file():
         raise NotFound(f"no flowchart for {domain}/{task} under {root.path}", task)
-    data = _read_json(path, "flowchart")
     try:
-        return Flowchart.from_dict(data)
-    except (InvariantViolation, KeyError, TypeError) as exc:
+        return Flowchart.from_dict(_read_json(path, "flowchart"))
+    except InvariantViolation as exc:
         raise ParseError(f"flowchart {domain}/{task}: {exc}") from exc
 
 
@@ -337,7 +327,6 @@ def agents_for_scenario(
     scenario: Scenario,
     backend: Backend,
     root: DatasetRoot | None = None,
-    seed: int | None = None,
 ) -> tuple[Agent, Agent]:
     """Build the (system, user) agent pair for a scenario.
 
@@ -376,12 +365,4 @@ def agents_for_scenario(
         personality=personality,
         circumstances=f"You need the following: {scenario.user_task}." if scenario.user_task else None,
     )
-    system_agent = Agent(
-        backend, wizard, name="System",
-        seed=None if seed is None else derive_seed(seed, 0),
-    )
-    user_agent = Agent(
-        backend, user, name="User",
-        seed=None if seed is None else derive_seed(seed, 1),
-    )
-    return system_agent, user_agent
+    return Agent(backend, wizard, name="System"), Agent(backend, user, name="User")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,23 @@ class TestStarRun:
         assert (tmp_path / "out" / "star_dialog_103.json").exists()
         assert not (tmp_path / "out" / "star_dialog_999.json").exists()
         assert "999" in result.output
+
+    def test_non_object_flowchart_reported_others_processed(self, runner, spec_path,
+                                                            star_root, tmp_path):
+        root = tmp_path / "root"
+        shutil.copytree(star_root, root)
+        (root / "flowcharts" / "weather").mkdir()
+        (root / "flowcharts" / "weather" / "check_forecast.json").write_text("[]")
+        result = runner.invoke(main, [
+            "star-run", "--root", str(root), "--spec", str(spec_path),
+            "101", "102", "103",
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (tmp_path / "out" / "star_dialog_101.json").exists()
+        assert (tmp_path / "out" / "star_dialog_103.json").exists()
+        assert not (tmp_path / "out" / "star_dialog_102.json").exists()
+        assert "error: scenario 102: " in result.output
 
     def test_empty_id_list_ok(self, runner, spec_path, star_root):
         result = runner.invoke(main, ["star-run", "--root", str(star_root),

@@ -1,4 +1,4 @@
-"""Golden-output guard: pinned digests of a fixed scripted run.
+"""Golden-output guard: pinned digests of fixed scripted runs.
 
 Runs ``batch`` in-process over a fixed scripted spec that attaches all five
 orchestrator types (one of them a persistent reflex) and gives one persona
@@ -6,7 +6,9 @@ a fixed first utterance, adds one dialog cut by the turn cap with
 ``generate``, then runs ``flow --k 4`` over the output. The
 backend records every prompt it is sent. Three sha256 digests are pinned:
 the output directory, the DOT file, and the list of (role, content)
-prompts. A refactor that keeps behaviour keeps all three.
+prompts. A second run pins ``star-run`` over the fixture scenarios
+101-103, which covers the scenario -> persona -> prompt path. A refactor
+that keeps behaviour keeps all five.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from dialogforge.cli import main
 OUTPUT_DIR_SHA256 = "d5f5c7c91dda55e36af61d8f48ef50a9a3ee7e8d4768b006a969c1c7e747c322"
 DOT_SHA256 = "2329ca270be09110d0c6a9a48641665ce84462a378597dc4b0bfdeeeb3e3335f"
 PROMPTS_SHA256 = "289a9dc5d07ec27066340b31f4445cae6f8fcfe5bd1dc0583dcfae4ec98fa6a6"
+STAR_OUTPUT_DIR_SHA256 = "6a18eb616c4ce933a2265ae73b64f2d76e81efa16642b8ee46af4d7a4ca440d4"
+STAR_PROMPTS_SHA256 = "ce1200763a87a1e0b5a3304162b03a9b49e5642250d801766d5866af0315578f"
 
 SPEC = {
     "backend": {"scripted": [
@@ -76,11 +80,8 @@ def _tree_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
-def test_golden_batch_and_flow(runner, tmp_path, monkeypatch):
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps({**SPEC, "outputDir": str(tmp_path / "out")}),
-                         encoding="utf-8")
-
+def _record_prompts(monkeypatch) -> list[list[tuple[str, str]]]:
+    """Make every backend the CLI builds record the prompts it is sent."""
     prompts: list[list[tuple[str, str]]] = []
     make_backend = cli.make_backend
 
@@ -96,6 +97,18 @@ def test_golden_batch_and_flow(runner, tmp_path, monkeypatch):
         return backend
 
     monkeypatch.setattr(cli, "make_backend", recording_backend)
+    return prompts
+
+
+def _prompts_digest(prompts: list[list[tuple[str, str]]]) -> str:
+    return hashlib.sha256(json.dumps(prompts, ensure_ascii=False).encode("utf-8")).hexdigest()
+
+
+def test_golden_batch_and_flow(runner, tmp_path, monkeypatch):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**SPEC, "outputDir": str(tmp_path / "out")}),
+                         encoding="utf-8")
+    prompts = _record_prompts(monkeypatch)
 
     result = runner.invoke(main, ["batch", "--spec", str(spec_path), "-n", "3"])
     assert result.exit_code == 0, result.output
@@ -108,9 +121,24 @@ def test_golden_batch_and_flow(runner, tmp_path, monkeypatch):
                                   "--k", "4", "--out", str(dot)])
     assert result.exit_code == 0, result.output
 
-    prompt_bytes = json.dumps(prompts, ensure_ascii=False).encode("utf-8")
     assert {
         "out": _tree_digest(tmp_path / "out"),
         "dot": hashlib.sha256(dot.read_bytes()).hexdigest(),
-        "prompts": hashlib.sha256(prompt_bytes).hexdigest(),
+        "prompts": _prompts_digest(prompts),
     } == {"out": OUTPUT_DIR_SHA256, "dot": DOT_SHA256, "prompts": PROMPTS_SHA256}
+
+
+def test_golden_star_run(runner, star_root, tmp_path, monkeypatch):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**SPEC, "outputDir": str(tmp_path / "out")}),
+                         encoding="utf-8")
+    prompts = _record_prompts(monkeypatch)
+
+    result = runner.invoke(main, ["star-run", "--root", str(star_root),
+                                  "--spec", str(spec_path), "101", "102", "103"])
+    assert result.exit_code == 0, result.output
+
+    assert {
+        "out": _tree_digest(tmp_path / "out"),
+        "prompts": _prompts_digest(prompts),
+    } == {"out": STAR_OUTPUT_DIR_SHA256, "prompts": STAR_PROMPTS_SHA256}
