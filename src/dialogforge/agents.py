@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from .backends import Backend, Message, SamplingParams
@@ -30,7 +30,7 @@ ROLE_PLAY_PREAMBLE = (
 STAGE_DIRECTIONS = (
     "Always stay in character. Reply with exactly one utterance per turn, "
     "without narration or stage directions. When the conversation has run its "
-    'course, reply with the end marker "{end_marker}" alone to finish it.'
+    f'course, reply with the end marker "{END_MARKER}" alone to finish it.'
 )
 
 # (attribute, prompt label) in fixed rendering order
@@ -79,11 +79,7 @@ class Persona:
                       for attr, _ in _PERSONA_FIELDS})
 
 
-def persona_prompt(
-    persona: Persona,
-    end_marker: str = END_MARKER,
-    extra_instructions: str | None = None,
-) -> str:
+def persona_prompt(persona: Persona, extra_instructions: str | None = None) -> str:
     """Compile a persona into its system prompt.
 
     Deterministic: a fixed preamble, one labeled line per non-empty field
@@ -95,52 +91,51 @@ def persona_prompt(
         value = getattr(persona, attr)
         if value:
             lines.append(f"{label}: {value}")
-    lines += ["", STAGE_DIRECTIONS.format(end_marker=end_marker)]
+    lines += ["", STAGE_DIRECTIONS]
     if extra_instructions:
         lines.append(extra_instructions)
     return "\n".join(lines)
 
 
-def _split_end_marker(utterance: str, marker: str) -> tuple[bool, str]:
+def _split_end_marker(utterance: str) -> tuple[bool, str]:
     # "ends with (or equals) the marker" terminates; marker mid-text does not.
     stripped = utterance.rstrip()
-    if stripped.endswith(marker):
-        return True, stripped[: -len(marker)].rstrip()
+    if stripped.endswith(END_MARKER):
+        return True, stripped[: -len(END_MARKER)].rstrip()
     return False, utterance
 
 
 class Agent:
     """Role-plays a persona against a completion backend.
 
-    ``memory[0]`` is always the compiled system prompt. Orchestrators are
-    queried in attachment order before every generated utterance; attach
-    them with the ``|`` operator. A fixed ``first_utterance`` replaces the
-    first generated move (no backend call, no orchestration for that move).
+    The agent's ``name`` is its persona's name. ``memory[0]`` is always the
+    compiled system prompt. Orchestrators are queried in attachment order
+    before every generated utterance; attach them with the ``|`` operator.
+    A fixed ``first_utterance`` replaces the first generated move (no
+    backend call, no orchestration for that move). The RNG is seeded by
+    ``reset``; a new agent starts from fresh entropy.
     """
 
     def __init__(
         self,
         backend: Backend,
         persona: Persona,
-        name: str | None = None,
         first_utterance: str | None = None,
-        seed: int | None = None,
-        params: SamplingParams | None = None,
-        end_marker: str = END_MARKER,
         extra_instructions: str | None = None,
     ):
         self.backend = backend
         self.persona = persona
-        self.name = name if name is not None else persona.name
         self.first_utterance = first_utterance
-        self.params = params if params is not None else SamplingParams()
-        self.end_marker = end_marker
         self.orchestrators: list[Orchestrator] = []
-        self._system_prompt = persona_prompt(persona, end_marker, extra_instructions)
+        self._system_prompt = persona_prompt(persona, extra_instructions)
         self.seed: int = 0
         self.rng: random.Random = random.Random()
         self.memory: list[Message] = []
-        self.reset(seed)
+        self.reset()
+
+    @property
+    def name(self) -> str:
+        return self.persona.name
 
     def __or__(self, orchestrator: "Orchestrator") -> "Agent":
         orchestrator.bind(self)
@@ -168,7 +163,7 @@ class Agent:
         Queries each orchestrator in order; each instruction text it fires
         is placed as a system message between memory and the incoming
         message for this generation only, and emitted as an instruct event
-        labelled with the orchestrator's name. Instructions from an
+        labelled with the orchestrator's class name. Instructions from an
         orchestrator with ``persist`` set also stay in memory. The utter
         event for the reply is the caller's job.
         """
@@ -196,9 +191,7 @@ class Agent:
                 )
             )
         partner = [] if incoming is None else [Message("user", incoming)]
-        params = self.params
-        if params.seed is None:
-            params = replace(params, seed=self.seed)
+        params = SamplingParams(seed=self.seed)
         reply = self.backend.complete(self.memory + fired + partner, params)
         self.memory += kept + partner + [Message("assistant", reply)]
         return reply, events
@@ -253,7 +246,7 @@ class Agent:
                 raw, events = speaker.respond(incoming, dialog, clock=clock)
             for event in events:
                 dialog = dialog.append_event(event)
-            ended, text = _split_end_marker(raw, speaker.end_marker)
+            ended, text = _split_end_marker(raw)
             dialog = dialog.append_utterance(speaker.name, text, clock())
             if ended:
                 break

@@ -177,7 +177,7 @@ def make_agents(spec: RunSpec, backend: Backend) -> tuple[Agent, Agent]:
         persona_fields = {k: v for k, v in fields.items() if k != "firstUtterance"}
         persona = Persona.from_dict({**persona_fields, "name": name})
         first = _may(fields, "firstUtterance", str, f"persona {name!r}")
-        agents[name] = Agent(backend, persona, name=name, first_utterance=first)
+        agents[name] = Agent(backend, persona, first_utterance=first)
     first, second = agents.values()
     for record in spec.orchestrators:
         target = record.get("agent") or first.name

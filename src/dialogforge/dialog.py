@@ -346,10 +346,13 @@ def render_dialog(
 ) -> str:
     """Render a dialog for the console with color-coded speakers.
 
-    With both flags off the output equals the plain serialization modulo
-    styling. ``show_orchestration`` interleaves instruct events at the
-    position they fired; ``show_scenario`` prefixes a metadata header.
-    Styling is disabled automatically when stdout is not a terminal.
+    With both flags off the output is one ``Speaker: text`` entry per turn,
+    as in the plain serialization, except that multi-line utterances keep
+    their newlines and speakers containing ``": "`` are printed as they
+    are (the plain format flattens the first and rejects the second).
+    ``show_orchestration`` interleaves instruct events at the position they
+    fired; ``show_scenario`` prefixes a metadata header. Styling is
+    disabled automatically when stdout is not a terminal.
     """
     if color is None:
         color = sys.stdout.isatty()
@@ -419,6 +422,13 @@ def write_dialog_file(dialog: Dialog, path: str | Path) -> Path:
 
 
 def read_dialog_file(path: str | Path) -> Dialog:
-    """Load a dialog from disk, picking the format from the file extension."""
+    """Load a dialog from disk, picking the format from the file extension.
+
+    Content that is not UTF-8 raises ParseError; OSError passes through.
+    """
     path = Path(path)
-    return deserialize_dialog(path.read_text(encoding="utf-8"), _format_for(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read dialog {path}: {exc}") from exc
+    return deserialize_dialog(text, _format_for(path))

@@ -168,7 +168,11 @@ class FlowGraph:
     edges: tuple[FlowEdge, ...]
 
 
-def validate_flow_graph(graph: FlowGraph, tolerance: float = 1e-9) -> None:
+# largest accepted |sum - 1| of a node's outgoing edge probabilities
+_PROBABILITY_TOLERANCE = 1e-9
+
+
+def validate_flow_graph(graph: FlowGraph) -> None:
     """Check per-source probability normalization; raise ConfigError on breach."""
     totals: dict[str, float] = {}
     for edge in graph.edges:
@@ -176,7 +180,7 @@ def validate_flow_graph(graph: FlowGraph, tolerance: float = 1e-9) -> None:
             raise ConfigError(f"invalid edge weight on {edge.source}->{edge.target}")
         totals[edge.source] = totals.get(edge.source, 0.0) + edge.probability
     for source, total in totals.items():
-        if abs(total - 1.0) > tolerance:
+        if abs(total - 1.0) > _PROBABILITY_TOLERANCE:
             raise ConfigError(f"outgoing probabilities of {source} sum to {total}")
 
 

@@ -8,12 +8,13 @@ agents and lets them converse turn by turn.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 from .agents import Agent, Persona
 from .backends import Backend, Message, SamplingParams
-from .dialog import Dialog, Turn, _synth_utter_events
+from .dialog import Dialog, Turn, _require, _synth_utter_events
 from .errors import InvariantViolation, SchemaViolation
 from .seeding import entropy_seed
 
@@ -63,24 +64,23 @@ def _strip_fences(text: str) -> str:
 
 def _parse_turns(completion: str, brief: GenerationBrief) -> list[Turn]:
     allowed = {brief.speaker_a, brief.speaker_b}
+    violation = functools.partial(SchemaViolation, raw=completion)
     try:
         doc = json.loads(_strip_fences(completion))
     except json.JSONDecodeError as exc:
-        raise SchemaViolation(f"completion is not valid JSON: {exc}", raw=completion) from exc
+        raise violation(f"completion is not valid JSON: {exc}") from exc
     if not isinstance(doc, list):
-        raise SchemaViolation("completion must be a JSON array", raw=completion)
+        raise violation("completion must be a JSON array")
     turns = []
     for i, item in enumerate(doc):
-        if not isinstance(item, dict) or not isinstance(item.get("speaker"), str) \
-                or not isinstance(item.get("text"), str):
-            raise SchemaViolation(
-                f"element {i} is not a {{speaker, text}} object", raw=completion
-            )
-        if item["speaker"] not in allowed:
-            raise SchemaViolation(
-                f"element {i} has off-schema speaker {item['speaker']!r}", raw=completion
-            )
-        turns.append(Turn(speaker=item["speaker"], text=item["text"]))
+        where = f"element {i}"
+        if not isinstance(item, dict):
+            raise violation(f"{where} is not a {{speaker, text}} object")
+        speaker = _require(item, "speaker", str, where, violation)
+        text = _require(item, "text", str, where, violation)
+        if speaker not in allowed:
+            raise violation(f"{where} has off-schema speaker {speaker!r}")
+        turns.append(Turn(speaker=speaker, text=text))
     return turns
 
 

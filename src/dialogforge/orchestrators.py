@@ -28,7 +28,7 @@ MESSAGES = {
     ),
     "finish": (
         "Wrap up the conversation now: give one short closing utterance and "
-        'finish it with "{end_marker}".'
+        f'finish it with "{END_MARKER}".'
     ),
     "change_mind": (
         "Change your mind about your current position and make the change "
@@ -47,15 +47,18 @@ class Orchestrator:
     Subclasses implement ``instruct(dialog, utterance)`` and return a
     non-empty instruction text to intervene, or None to stay silent.
     ``utterance`` is the partner's last utterance, None on the agent's
-    first move. The agent labels the instruct event with ``name`` and keeps
-    the instruction in memory when ``persist`` is set. Override ``reset``
-    when keeping per-dialogue state.
+    first move. The agent labels the instruct event with ``name``, which is
+    the class name, and keeps the instruction in memory when ``persist`` is
+    set. Override ``reset`` when keeping per-dialogue state.
     """
 
-    def __init__(self, name: str | None = None, persist: bool = False):
-        self.name = name if name is not None else type(self).__name__
+    def __init__(self, persist: bool = False):
         self.persist = persist
         self.agent: Agent | None = None
+
+    @property
+    def name(self) -> str:
+        return type(self).__name__
 
     def bind(self, agent: "Agent") -> None:
         # One orchestrator instance belongs to one agent (state ownership).
@@ -72,10 +75,10 @@ class Orchestrator:
     def instruct(self, dialog: Dialog, utterance: str | None) -> str | None:
         raise NotImplementedError
 
-    def _rng(self):
+    def _owner(self) -> "Agent":
         if self.agent is None:
             raise ConfigError(f"orchestrator {self.name!r} is not attached to an agent")
-        return self.agent.rng
+        return self.agent
 
 
 class SimpleReflexOrchestrator(Orchestrator):
@@ -88,10 +91,9 @@ class SimpleReflexOrchestrator(Orchestrator):
         self,
         condition: Callable[[str], bool],
         instruction: str,
-        name: str | None = None,
         persist: bool = False,
     ):
-        super().__init__(name=name, persist=persist)
+        super().__init__(persist=persist)
         if not instruction:
             raise ConfigError("reflex instruction must be non-empty")
         self.condition = condition
@@ -111,14 +113,8 @@ class LengthOrchestrator(Orchestrator):
     wrap up and emit the end marker; in between it stays silent.
     """
 
-    def __init__(
-        self,
-        min_turns: int,
-        max_turns: int,
-        name: str | None = None,
-        persist: bool = False,
-    ):
-        super().__init__(name=name, persist=persist)
+    def __init__(self, min_turns: int, max_turns: int):
+        super().__init__()
         if min_turns <= 0 or max_turns <= 0:
             raise ConfigError("min_turns and max_turns must be positive")
         if min_turns > max_turns:
@@ -131,8 +127,7 @@ class LengthOrchestrator(Orchestrator):
         if length < self.min_turns:
             return MESSAGES["continue"]
         if length >= self.max_turns:
-            marker = self.agent.end_marker if self.agent else END_MARKER
-            return MESSAGES["finish"].format(end_marker=marker)
+            return MESSAGES["finish"]
         return None
 
 
@@ -149,10 +144,8 @@ class ChangeMindOrchestrator(Orchestrator):
         probability: float,
         reasons: list[str] | None = None,
         max_times: int = 1,
-        name: str | None = None,
-        persist: bool = False,
     ):
-        super().__init__(name=name, persist=persist)
+        super().__init__()
         if not 0 <= probability <= 1:
             raise ConfigError(f"probability must be in [0, 1], got {probability}")
         if max_times <= 0:
@@ -166,13 +159,14 @@ class ChangeMindOrchestrator(Orchestrator):
         self.fired = 0
 
     def instruct(self, dialog: Dialog, utterance: str | None):
-        draw = self._rng().random()
+        rng = self._owner().rng
+        draw = rng.random()
         if draw >= self.probability or self.fired >= self.max_times:
             return None
         self.fired += 1
         text = MESSAGES["change_mind"]
         if self.reasons:
-            reason = self._rng().choice(self.reasons)
+            reason = rng.choice(self.reasons)
             text += MESSAGES["change_mind_reason"].format(reason=reason)
         return text
 
@@ -186,13 +180,8 @@ class SimpleResponseOrchestrator(Orchestrator):
     Silent on the agent's first move.
     """
 
-    def __init__(
-        self,
-        candidates: list[str],
-        top_k: int | None = None,
-        name: str | None = None,
-    ):
-        super().__init__(name=name, persist=False)
+    def __init__(self, candidates: list[str], top_k: int | None = None):
+        super().__init__()
         if not candidates:
             raise ConfigError("candidates must be non-empty")
         if top_k is None:
@@ -225,20 +214,14 @@ class InstructionListOrchestrator(Orchestrator):
     agent's moves, not the partner's.
     """
 
-    def __init__(
-        self,
-        plan: Mapping[int, str],
-        persist: bool = False,
-        name: str | None = None,
-    ):
-        super().__init__(name=name, persist=persist)
+    def __init__(self, plan: Mapping[int, str], persist: bool = False):
+        super().__init__(persist=persist)
         for index in plan:
             if index < 0:
                 raise ConfigError(f"plan indices must be non-negative, got {index}")
         self.plan = dict(plan)
 
     def instruct(self, dialog: Dialog, utterance: str | None):
-        if self.agent is None:
-            raise ConfigError(f"orchestrator {self.name!r} is not attached to an agent")
-        own_turns = sum(1 for turn in dialog.turns if turn.speaker == self.agent.name)
+        name = self._owner().name
+        own_turns = sum(1 for turn in dialog.turns if turn.speaker == name)
         return self.plan.get(own_turns)

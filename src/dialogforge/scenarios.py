@@ -20,7 +20,7 @@ from typing import Any
 
 from .agents import Agent, Persona
 from .backends import Backend
-from .dialog import Dialog, _optional, _read_json, _require, deserialize_dialog
+from .dialog import Dialog, _optional, _read_json, _require, read_dialog_file
 from .errors import InvariantViolation, NotADirectory, NotFound, ParseError
 from .flow import END_NODE, START_NODE, FlowEdge, FlowGraph, FlowNode
 
@@ -181,7 +181,7 @@ def load_dialog(root: DatasetRoot, dialog_id: int) -> Dialog:
     path = root.path / "dialogues" / f"{dialog_id}.json"
     if not path.is_file():
         raise NotFound(f"no dialogue with id {dialog_id} under {root.path}", dialog_id)
-    dialog = deserialize_dialog(path.read_text(encoding="utf-8"), "structured")
+    dialog = read_dialog_file(path)
     scenario_path = root.path / "scenarios" / f"{dialog_id}.json"
     if scenario_path.is_file():
         dialog = replace(dialog, scenario=_read_json(scenario_path, "scenario"))
@@ -365,4 +365,4 @@ def agents_for_scenario(
         personality=personality,
         circumstances=f"You need the following: {scenario.user_task}." if scenario.user_task else None,
     )
-    return Agent(backend, wizard, name="System"), Agent(backend, user, name="User")
+    return Agent(backend, wizard), Agent(backend, user)

@@ -14,7 +14,7 @@ import random
 from dialogforge import Backend, Dialog, Message, SamplingParams
 from dialogforge.orchestrators import MESSAGES
 
-FINISH_PREFIX = MESSAGES["finish"].split("{end_marker}")[0]
+FINISH_TEXT = MESSAGES["finish"]
 CONTINUE_TEXT = MESSAGES["continue"]
 
 
@@ -24,7 +24,7 @@ class ObedientBackend(Backend):
     model = "obedient"
 
     def _complete(self, messages: list[Message], params: SamplingParams) -> str:
-        if any(m.role == "system" and FINISH_PREFIX in m.content for m in messages):
+        if any(m.role == "system" and FINISH_TEXT in m.content for m in messages):
             return "Alright, goodbye! [END]"
         return "Let me tell you more about that."
 
@@ -35,7 +35,7 @@ class EagerBackend(Backend):
     model = "eager"
 
     def _complete(self, messages: list[Message], params: SamplingParams) -> str:
-        if any(m.role == "system" and FINISH_PREFIX in m.content for m in messages):
+        if any(m.role == "system" and FINISH_TEXT in m.content for m in messages):
             return "Okay, wrapping up now. [END]"
         if any(m.role == "system" and CONTINUE_TEXT in m.content for m in messages):
             return "Sure, happy to keep chatting."

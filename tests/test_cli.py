@@ -258,6 +258,15 @@ class TestPrint:
         result = runner.invoke(main, ["print", str(bad)])
         assert result.exit_code == 1
 
+    def test_non_utf8_exits_1_with_error_line(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        result = runner.invoke(main, ["print", str(bad)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+
 
 def build_corpus(tmp_path: Path, runner) -> Path:
     """Five dialogs: three with >= 6 turns, two shorter; one mentions refunds."""
@@ -320,6 +329,14 @@ class TestFilter:
                                       "--min-turns", "0"])
         assert result.exit_code == 0
         assert "warning" in result.output
+
+    def test_non_utf8_file_skipped_with_warning(self, runner, star_root, tmp_path):
+        shutil.copy(star_root / "dialogues" / "101.json", tmp_path / "a.json")
+        (tmp_path / "b.json").write_bytes(b"\xff\xfe{}")
+        result = runner.invoke(main, ["filter", str(tmp_path / "*.json")])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == [str(tmp_path / "a.json")]
+        assert f"warning: skipping {tmp_path / 'b.json'}: " in result.stderr
 
 
 class TestWireBackendViaCli:

@@ -144,7 +144,7 @@ class TestBuildFlowGraph:
     def test_probabilities_normalized(self):
         corpus = build_action_corpus(10, seed=42)
         graph = build_flow_graph(corpus, k=4, seed=3)
-        validate_flow_graph(graph, tolerance=1e-9)
+        validate_flow_graph(graph)
 
     def test_node_sizes_sum_to_turn_count(self):
         corpus = build_action_corpus(8, seed=1)

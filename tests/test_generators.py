@@ -81,6 +81,18 @@ class TestGenerateDialog:
         with pytest.raises(SchemaViolation):
             generate_dialog(backend, BRIEF, seed=1)
 
+    @pytest.mark.parametrize("element", [
+        "Customer: hi",
+        {"speaker": "Customer"},
+        {"speaker": "Customer", "text": 3},
+        {"speaker": True, "text": "hi"},
+    ], ids=["string", "no-text", "int-text", "bool-speaker"])
+    def test_ill_typed_element_raises_with_raw(self, element):
+        bad = json.dumps([{"speaker": "Customer", "text": "hi"}, element])
+        with pytest.raises(SchemaViolation, match="element 1") as excinfo:
+            generate_dialog(ScriptedBackend([bad, bad]), BRIEF, seed=1)
+        assert excinfo.value.raw == bad
+
     def test_fix_prompt_sent_on_repair(self):
         captured = []
 

@@ -28,7 +28,7 @@ BOB = Persona(name="Bob")
 
 
 def make_agent(script=("ok",), seed=0, persona=ALICE):
-    return Agent(ScriptedBackend(list(script), cycle=True), persona, seed=seed)
+    return Agent(ScriptedBackend(list(script), cycle=True), persona).reset(seed)
 
 
 def dialog_of_length(n: int) -> Dialog:
@@ -51,16 +51,17 @@ class TestInstruction:
 
 class TestAttach:
     def test_pipe_appends_in_order(self):
-        left = SimpleReflexOrchestrator(lambda _: True, "L", name="L")
-        mid = SimpleReflexOrchestrator(lambda _: True, "M", name="M")
+        left = SimpleReflexOrchestrator(lambda _: True, "L")
+        mid = SimpleReflexOrchestrator(lambda _: True, "M")
         agent = make_agent() | left | mid
-        assert [o.name for o in agent.orchestrators] == ["L", "M"]
+        assert [o.instruction for o in agent.orchestrators] == ["L", "M"]
 
     def test_same_orchestrator_twice_fires_twice(self):
-        orch = SimpleReflexOrchestrator(lambda _: True, "hint", name="twice")
+        orch = SimpleReflexOrchestrator(lambda _: True, "hint")
         agent = make_agent() | orch | orch
         _, events = agent.respond("hi", Dialog())
-        assert [e.action_label for e in events] == ["twice", "twice"]
+        assert [e.text for e in events] == ["hint", "hint"]
+        assert {e.action_label for e in events} == {"SimpleReflexOrchestrator"}
 
     def test_no_orchestrators_no_instruct_events(self):
         _, events = make_agent().respond("hi", Dialog())
@@ -109,12 +110,6 @@ class TestLength:
     def test_min_above_max_rejected(self):
         with pytest.raises(ConfigError):
             LengthOrchestrator(min_turns=6, max_turns=5)
-
-    def test_finish_uses_agent_marker(self):
-        orch = LengthOrchestrator(min_turns=1, max_turns=2)
-        agent = Agent(ScriptedBackend(["x"]), ALICE, end_marker="<fin>")
-        agent | orch
-        assert "<fin>" in orch.instruct(dialog_of_length(2), "x")
 
 
 class TestChangeMind:
@@ -228,6 +223,19 @@ class TestInstructionList:
         ]
         assert positions == [0, 4]
 
+    def test_first_utterance_consumes_index_zero(self):
+        # a fixed first utterance is not orchestrated, so index 0 never
+        # fires; index 1 fires just before the agent's second turn
+        plan = InstructionListOrchestrator({0: "a", 1: "b"})
+        agent = Agent(ScriptedBackend(["x1", "x2"]), ALICE, first_utterance="Hi") | plan
+        other = Agent(ScriptedBackend(["y1", "y2"]), BOB)
+        d = agent.dialog_with(other, max_turns=4, seed=0)
+        fired = [i for i, e in enumerate(d.events) if e.action == "instruct"]
+        assert [d.events[i].text for i in fired] == ["b"]
+        utters_before = [e for e in d.events[: fired[0]] if e.action == "utter"]
+        assert [e.agent for e in utters_before] == ["Alice", "Bob"]
+        assert d.events[fired[0] + 1].agent == "Alice"
+
     def test_empty_plan_never_fires(self):
         agent = make_agent() | InstructionListOrchestrator({})
         for _ in range(4):
@@ -249,9 +257,9 @@ class TestComposition:
     def test_event_order_matches_attachment_order(self):
         for seed in range(20):
             a = Agent(ScriptedBackend(["one", "two [END]"]), ALICE)
-            a = a | SimpleReflexOrchestrator(lambda _: True, "first", name="A")
-            a = a | SimpleReflexOrchestrator(lambda _: True, "second", name="B")
+            a = a | SimpleReflexOrchestrator(lambda _: True, "first")
+            a = a | SimpleReflexOrchestrator(lambda _: True, "second")
             b = Agent(ScriptedBackend(["mid"]), BOB)
             d = a.dialog_with(b, seed=seed)
-            per_turn = [e.action_label for e in d.events if e.action == "instruct"]
-            assert per_turn == ["A", "B", "A", "B"]
+            per_turn = [e.text for e in d.events if e.action == "instruct"]
+            assert per_turn == ["first", "second", "first", "second"]

@@ -101,6 +101,12 @@ class TestDatasetRoot:
         with pytest.raises(ParseError):
             load_dialog(set_dataset_root(tmp_path), 1)
 
+    def test_non_utf8_dialogue_raises_parse_error(self, tmp_path):
+        (tmp_path / "dialogues").mkdir()
+        (tmp_path / "dialogues" / "1.json").write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError):
+            load_dialog(set_dataset_root(tmp_path), 1)
+
 
 class TestDescribeScenario:
     def test_contains_domain_and_task(self):
