@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import glob as globlib
 import os
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -299,7 +298,7 @@ def batch(spec_path, output_dir, seed, count, max_turns, base_url, model, api_ke
         try:
             _, path = _run_one(spec, i, base_seed + i, out,
                                base_url, model, api_key, max_turns)
-        except DialogForgeError as exc:
+        except (DialogForgeError, OSError) as exc:
             # earlier files are kept; report where the batch stopped
             raise type(exc)(f"dialog {i} failed: {exc}") from exc
         click.echo(f"wrote {path}", err=True)
@@ -335,7 +334,7 @@ def star_run(root_path, spec_path, output_dir, seed, ids, base_url, model, api_k
             backend_failures += 1
             click.echo(f"error: scenario {dialog_id}: {exc}", err=True)
             continue
-        except DialogForgeError as exc:
+        except (DialogForgeError, OSError) as exc:
             input_failures += 1
             click.echo(f"error: scenario {dialog_id}: {exc}", err=True)
             continue

@@ -82,7 +82,6 @@ class Dialog:
     free-form metadata maps carried through serialization untouched.
     """
 
-    format_version: str = FORMAT_VERSION
     id: int | None = None
     model: str | None = None
     seed: int | None = None
@@ -131,10 +130,6 @@ class Dialog:
 
     def validate(self) -> None:
         """Check every Dialog invariant; raise InvariantViolation on breach."""
-        if self.format_version != FORMAT_VERSION:
-            raise InvariantViolation(
-                f"unsupported format version {self.format_version!r}"
-            )
         last = None
         for event in self.events:
             if last is not None and event.timestamp < last:
@@ -161,7 +156,7 @@ def _synth_utter_events(turns: Iterable[Turn]) -> tuple[Event, ...]:
 def _to_mapping(dialog: Dialog) -> dict[str, Any]:
     # Canonical field order; absent optionals serialize as null.
     return {
-        "formatVersion": dialog.format_version,
+        "formatVersion": FORMAT_VERSION,
         "id": dialog.id,
         "model": dialog.model,
         "seed": dialog.seed,
@@ -300,7 +295,6 @@ def _parse_structured(text: str) -> Dialog:
                     )
                 )
         dialog = Dialog(
-            format_version=version,
             id=_optional(doc, "id", int, "dialog"),
             model=_optional(doc, "model", str, "dialog"),
             seed=_optional(doc, "seed", int, "dialog"),

@@ -17,7 +17,8 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -185,12 +186,32 @@ def validate_flow_graph(graph: FlowGraph) -> None:
 
 
 def _medoid(indices: list[int], vectors: np.ndarray) -> int:
-    """Member index with maximal mean cosine to the cluster (ties: first)."""
-    members = vectors[indices]
-    mean_vector = members.mean(axis=0)
-    scores = [cosine(vectors[i], mean_vector) for i in indices]
-    best = max(range(len(indices)), key=lambda j: (scores[j], -j))
-    return indices[best]
+    """Member index with maximal cosine to the cluster mean (ties: first)."""
+    mean_vector = vectors[indices].mean(axis=0)
+    return max(indices, key=lambda i: cosine(vectors[i], mean_vector))
+
+
+def _transition_graph(
+    nodes: Iterable[FlowNode], paths: Iterable[Sequence[str]], end_size: int
+) -> FlowGraph:
+    """Graph over ``nodes`` whose edges count the consecutive pairs of ``paths``.
+
+    An edge's probability is its count over the total count leaving its
+    source. START and END join the nodes with size ``end_size``; nodes are
+    sorted by id and edges by (source, target).
+    """
+    counts = Counter(pair for path in paths for pair in zip(path, path[1:]))
+    outgoing: Counter[str] = Counter()
+    for (source, _), count in counts.items():
+        outgoing[source] += count
+    edges = tuple(
+        FlowEdge(source=source, target=target, count=count,
+                 probability=count / outgoing[source])
+        for (source, target), count in sorted(counts.items())
+    )
+    ends = [FlowNode(id=end, speaker_side="", label=end, size=end_size)
+            for end in (START_NODE, END_NODE)]
+    return FlowGraph(nodes=tuple(sorted([*nodes, *ends], key=lambda n: n.id)), edges=edges)
 
 
 def build_flow_graph(
@@ -209,40 +230,28 @@ def build_flow_graph(
     if not dialogs:
         raise ConfigError("corpus is empty")
 
-    sides: list[str] = []
-    utterances: list[tuple[int, int, str]] = []  # (side_index, global_index, text)
-    for dialog in dialogs:
-        for turn in dialog.turns:
-            if turn.speaker not in sides:
-                sides.append(turn.speaker)
-            utterances.append((sides.index(turn.speaker), len(utterances), turn.text))
+    turns = [turn for dialog in dialogs for turn in dialog.turns]
+    sides = list(dict.fromkeys(turn.speaker for turn in turns))
     if len(sides) > 2:
         raise ConfigError(f"corpus has {len(sides)} speaker names; at most 2 supported")
-    if not utterances:
+    if not turns:
         raise ConfigError("corpus has no turns")
     if k < len(sides):
         raise ConfigError(f"k={k} is below the number of speaker sides ({len(sides)})")
+    side_ks = [k] if len(sides) == 1 else [math.ceil(k / 2), math.floor(k / 2)]
 
-    if len(sides) == 1:
-        side_ks = [k]
-    else:
-        side_ks = [math.ceil(k / 2), math.floor(k / 2)]
+    vectors = np.asarray([embedder(turn.text) for turn in turns])
+    members = [[i for i, turn in enumerate(turns) if turn.speaker == side] for side in sides]
 
-    vectors = np.asarray([embedder(text) for _, _, text in utterances])
-    texts = [text for _, _, text in utterances]
-
-    node_of: dict[int, str] = {}  # global utterance index -> node id
+    node_of = [""] * len(turns)
     nodes: list[FlowNode] = []
-    for side_index, side in enumerate(sides):
-        member_indices = [g for s, g, _ in utterances if s == side_index]
+    for side_index, (side, indices) in enumerate(zip(sides, members)):
         try:
-            model = cluster([vectors[g] for g in member_indices], side_ks[side_index],
+            model = cluster([vectors[i] for i in indices], side_ks[side_index],
                             seed=seed + side_index)
         except ConfigError as exc:
-            distinct = [
-                len({vectors[g].tobytes() for s, g, _ in utterances if s == i})
-                for i in range(len(sides))
-            ]
+            distinct = [len({vectors[i].tobytes() for i in side_members})
+                        for side_members in members]
             largest = distinct[0]
             if len(sides) == 2:  # sides get ceil(k/2) and floor(k/2) clusters
                 largest = min(2 * distinct[0], 2 * distinct[1] + 1)
@@ -252,45 +261,17 @@ def build_flow_graph(
                 f"the largest usable k is {largest}"
             ) from exc
         groups: dict[int, list[int]] = {}
-        for local, g in enumerate(member_indices):
-            cluster_id = model.assignments[local]
-            node_of[g] = f"s{side_index}c{cluster_id}"
-            groups.setdefault(cluster_id, []).append(g)
-        for cluster_id in sorted(groups):
-            medoid = _medoid(groups[cluster_id], vectors)
-            nodes.append(
-                FlowNode(
-                    id=f"s{side_index}c{cluster_id}",
-                    speaker_side=side,
-                    label=texts[medoid][:40],
-                    size=len(groups[cluster_id]),
-                )
-            )
+        for i, cluster_id in zip(indices, model.assignments):
+            node_of[i] = f"s{side_index}c{cluster_id}"
+            groups.setdefault(cluster_id, []).append(i)
+        for cluster_id, group in sorted(groups.items()):
+            nodes.append(FlowNode(id=f"s{side_index}c{cluster_id}", speaker_side=side,
+                                  label=turns[_medoid(group, vectors)].text[:40],
+                                  size=len(group)))
 
-    counts: Counter[tuple[str, str]] = Counter()
-    cursor = 0
-    for dialog in dialogs:
-        path = [START_NODE]
-        path += [node_of[cursor + i] for i in range(len(dialog.turns))]
-        path.append(END_NODE)
-        cursor += len(dialog.turns)
-        for source, target in zip(path, path[1:]):
-            counts[(source, target)] += 1
-
-    outgoing: Counter[str] = Counter()
-    for (source, _), count in counts.items():
-        outgoing[source] += count
-    edges = tuple(
-        FlowEdge(source=source, target=target, count=count,
-                 probability=count / outgoing[source])
-        for (source, target), count in sorted(counts.items())
-    )
-
-    nodes.append(FlowNode(id=START_NODE, speaker_side="", label=START_NODE,
-                          size=len(dialogs)))
-    nodes.append(FlowNode(id=END_NODE, speaker_side="", label=END_NODE,
-                          size=len(dialogs)))
-    return FlowGraph(nodes=tuple(sorted(nodes, key=lambda n: n.id)), edges=edges)
+    bounds = list(accumulate((len(dialog.turns) for dialog in dialogs), initial=0))
+    paths = [[START_NODE, *node_of[a:b], END_NODE] for a, b in zip(bounds, bounds[1:])]
+    return _transition_graph(nodes, paths, end_size=len(dialogs))
 
 
 def _dot_escape(text: str) -> str:

@@ -22,7 +22,7 @@ from .agents import Agent, Persona
 from .backends import Backend
 from .dialog import Dialog, _optional, _read_json, _require, read_dialog_file
 from .errors import InvariantViolation, NotADirectory, NotFound, ParseError
-from .flow import END_NODE, START_NODE, FlowEdge, FlowGraph, FlowNode
+from .flow import END_NODE, START_NODE, FlowGraph, FlowNode, _transition_graph
 
 
 # an ill-typed scenario or flowchart field breaks the object's invariants
@@ -285,32 +285,23 @@ def describe_flowchart(chart: Flowchart) -> str:
 def flowchart_flow_graph(chart: Flowchart) -> FlowGraph:
     """Adapt a flowchart into a FlowGraph so it can be exported as DOT.
 
-    Every edge gets count 1; probabilities are uniform over a node's
-    outgoing edges; START points at the entry and terminal steps flow
-    into END.
+    START points at the entry, each chart edge is one transition, and each
+    terminal step (one with no outgoing edge) flows into END. Counts and
+    probabilities follow the corpus rule of ``build_flow_graph``: an edge
+    listed n times has count n, and a step's outgoing probabilities are
+    proportional to those counts (uniform when no edge repeats).
     """
+    sources = {edge.source for edge in chart.edges}
+    transitions = [
+        (START_NODE, chart.entry.id),
+        *((edge.source, edge.target) for edge in chart.edges),
+        *((node.id, END_NODE) for node in chart.nodes if node.id not in sources),
+    ]
     nodes = [
         FlowNode(id=node.id, speaker_side="step", label=node.label[:40], size=1)
         for node in chart.nodes
     ]
-    nodes.append(FlowNode(id=START_NODE, speaker_side="", label=START_NODE, size=1))
-    nodes.append(FlowNode(id=END_NODE, speaker_side="", label=END_NODE, size=1))
-    outgoing: dict[str, int] = {}
-    for edge in chart.edges:
-        outgoing[edge.source] = outgoing.get(edge.source, 0) + 1
-    edges = [FlowEdge(source=START_NODE, target=chart.entry.id, count=1, probability=1.0)]
-    for edge in chart.edges:
-        edges.append(
-            FlowEdge(source=edge.source, target=edge.target, count=1,
-                     probability=1.0 / outgoing[edge.source])
-        )
-    for node in chart.nodes:
-        if node.id not in outgoing:
-            edges.append(FlowEdge(source=node.id, target=END_NODE, count=1, probability=1.0))
-    return FlowGraph(
-        nodes=tuple(sorted(nodes, key=lambda n: n.id)),
-        edges=tuple(sorted(edges, key=lambda e: (e.source, e.target))),
-    )
+    return _transition_graph(nodes, transitions, end_size=1)
 
 
 HAPPY_PERSONALITY = (

@@ -7,7 +7,6 @@ line per criterion.
 
 from __future__ import annotations
 
-import json
 import random
 
 import pytest

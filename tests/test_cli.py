@@ -150,6 +150,14 @@ class TestBatch:
         runner.invoke(main, ["batch", "--spec", str(spec_path), "-n", "3"])
         assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == snapshot
 
+    def test_unwritable_output_names_failed_index(self, runner, spec_path, tmp_path):
+        (tmp_path / "out" / "dialog_001.json").mkdir(parents=True)
+        result = runner.invoke(main, ["batch", "--spec", str(spec_path), "-n", "3"])
+        assert result.exit_code == 1
+        assert "error: dialog 1 failed: " in result.output
+        assert (tmp_path / "out" / "dialog_000.json").is_file()
+        assert not (tmp_path / "out" / "dialog_002.json").exists()
+
     def test_zero_count_rejected(self, runner, spec_path):
         result = runner.invoke(main, ["batch", "--spec", str(spec_path), "-n", "0"])
         assert result.exit_code == 1
@@ -202,6 +210,18 @@ class TestStarRun:
         assert (tmp_path / "out" / "star_dialog_103.json").exists()
         assert not (tmp_path / "out" / "star_dialog_102.json").exists()
         assert "error: scenario 102: " in result.output
+
+    def test_unwritable_output_reported_others_processed(self, runner, spec_path,
+                                                        star_root, tmp_path):
+        (tmp_path / "out" / "star_dialog_102.json").mkdir(parents=True)
+        result = runner.invoke(main, [
+            "star-run", "--root", str(star_root), "--spec", str(spec_path),
+            "101", "102", "103",
+        ])
+        assert result.exit_code == 1
+        assert (tmp_path / "out" / "star_dialog_101.json").is_file()
+        assert (tmp_path / "out" / "star_dialog_103.json").is_file()
+        assert result.output.count("error: scenario 102: ") == 1
 
     def test_empty_id_list_ok(self, runner, spec_path, star_root):
         result = runner.invoke(main, ["star-run", "--root", str(star_root),

@@ -99,6 +99,12 @@ class TestCluster:
         assert np.isfinite(model.centroids).all()
 
 
+def counts_by_label(graph):
+    """Edge counts keyed like ``bigram_transition_counts``: (side, label) pairs."""
+    key = {n.id: (n.speaker_side, n.label) for n in graph.nodes}
+    return {(key[e.source], key[e.target]): e.count for e in graph.edges}
+
+
 class TestBuildFlowGraph:
     def test_k_above_side_distinct_names_side_and_largest_k(self):
         d = (Dialog()
@@ -126,15 +132,15 @@ class TestBuildFlowGraph:
         corpus = build_action_corpus(10, seed=42)
         # one cluster per distinct utterance string per side: labels are exact
         graph = build_flow_graph(corpus, k=6, seed=3)
-        by_id = {n.id: n for n in graph.nodes}
+        assert counts_by_label(graph) == bigram_transition_counts(corpus)
 
-        def key(node_id):
-            node = by_id[node_id]
-            return (node.speaker_side, node.label)
-
-        got = {(key(e.source), key(e.target)): e.count for e in graph.edges}
-        expected = bigram_transition_counts(corpus)
-        assert got == expected
+    def test_empty_dialog_contributes_start_to_end(self):
+        corpus = build_action_corpus(10, seed=42) + [Dialog(id=10)]
+        graph = build_flow_graph(corpus, k=6, seed=3)
+        assert counts_by_label(graph) == bigram_transition_counts(corpus)
+        assert [e.count for e in graph.edges
+                if (e.source, e.target) == (START_NODE, END_NODE)] == [1]
+        validate_flow_graph(graph)
 
     def test_start_out_count_equals_corpus_size(self):
         corpus = build_action_corpus(10, seed=42)

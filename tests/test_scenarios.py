@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from dialogforge import (
     load_scenario,
     set_dataset_root,
 )
-from dialogforge.flow import flow_to_dot
+from dialogforge.flow import END_NODE, START_NODE, flow_to_dot, validate_flow_graph
 from dialogforge.scenarios import ChartEdge, ChartNode, flowchart_flow_graph
 
 BANKING = Scenario(
@@ -199,6 +200,34 @@ class TestFlowchart:
         assert "START" in dot and "END" in dot
         assert "Ask the question" in dot
         assert '"a" -> "b"' in dot
+
+    def test_fixture_chart_graph_is_uniform_per_step(self, star_root):
+        chart = load_flowchart(set_dataset_root(star_root), "banking", "open_account")
+        graph = flowchart_flow_graph(chart)
+        validate_flow_graph(graph)
+        out_degree = Counter(edge.source for edge in chart.edges)
+        by_source: dict[str, list] = {}
+        for edge in graph.edges:
+            by_source.setdefault(edge.source, []).append(edge)
+        assert [(e.target, e.probability) for e in by_source[START_NODE]] == [("greet", 1.0)]
+        for source, degree in out_degree.items():
+            assert [e.probability for e in by_source[source]] == [1 / degree] * degree
+        terminals = [node.id for node in chart.nodes if node.id not in out_degree]
+        assert terminals == ["confirm"]
+        for node_id in terminals:
+            assert [(e.target, e.probability) for e in by_source[node_id]] == [(END_NODE, 1.0)]
+
+    def test_repeated_chart_edge_counts_twice(self):
+        chart = Flowchart(
+            task="twice",
+            nodes=(ChartNode("a", "Ask", entry=True), ChartNode("b", "Answer"),
+                   ChartNode("c", "Escalate")),
+            edges=(ChartEdge("a", "b"), ChartEdge("a", "b"), ChartEdge("a", "c")),
+        )
+        graph = flowchart_flow_graph(chart)
+        validate_flow_graph(graph)
+        from_a = [(e.target, e.count, e.probability) for e in graph.edges if e.source == "a"]
+        assert from_a == [("b", 2, 2 / 3), ("c", 1, 1 / 3)]
 
     def test_describe_deterministic(self, star_root):
         chart = load_flowchart(set_dataset_root(star_root), "banking", "open_account")
