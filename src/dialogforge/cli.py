@@ -4,6 +4,12 @@ Workflows are driven by a declarative JSON run spec (see README for the
 format) with flags overriding spec fields. Exit codes are a stable
 contract: 0 success, 1 configuration/input error, 2 backend/wire error.
 Artifacts go to files or stdout; diagnostics go to stderr.
+
+``batch`` seeds dialog i with base+i, ``star-run`` seeds scenario id with
+base+id. ``star-run`` uses only backend, seed, maxTurns and outputDir (the
+spec's personas and orchestrators are checked, then ignored), goes on past a
+failing id, and exits 2 if any id failed on the backend, else 1 if any failed
+on its input. START and END are reserved ids, not flowchart step ids.
 """
 
 from __future__ import annotations
@@ -11,9 +17,9 @@ from __future__ import annotations
 import functools
 import glob as globlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import click
 
@@ -189,6 +195,11 @@ def _fail(message: str, code: int) -> "SystemExit":
     return SystemExit(code)
 
 
+def _exit_code(exc: Exception) -> int:
+    """The documented exit code of a failed run: 2 backend/wire, 1 input."""
+    return 2 if isinstance(exc, BackendError) else 1
+
+
 def handle_errors(fn):
     """Map package errors onto the documented exit codes."""
 
@@ -196,10 +207,8 @@ def handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except BackendError as exc:
-            raise _fail(str(exc), 2) from exc
         except (DialogForgeError, OSError) as exc:
-            raise _fail(str(exc), 1) from exc
+            raise _fail(str(exc), _exit_code(exc)) from exc
 
     return wrapper
 
@@ -209,140 +218,107 @@ def main():
     """Generate, orchestrate, inspect, and analyze synthetic dialogues."""
 
 
-_spec_option = click.option("--spec", "spec_path", required=True,
-                            type=click.Path(), help="Path to the JSON run spec.")
-_output_option = click.option("--output-dir", default=None,
-                              help="Override the spec's output directory.")
-_seed_option = click.option("--seed", default=None, type=int,
-                            help="Override the spec's base seed.")
-_wire_options = [
+def _options(*options):
+    """One decorator adding ``options`` in the order given."""
+    return lambda fn: functools.reduce(lambda f, option: option(f), reversed(options), fn)
+
+
+_spec_options = _options(
+    click.option("--spec", "spec_path", required=True, type=click.Path(),
+                 help="Path to the JSON run spec."),
+    click.option("--output-dir", default=None, help="Override the spec's output directory."),
+    click.option("--seed", default=None, type=int, help="Override the spec's base seed."),
+)
+_wire_options = _options(  # each command hands them to make_backend as **wire
     click.option("--base-url", default=None, help="Override the backend base URL."),
     click.option("--model", default=None, help="Override the backend model name."),
     click.option("--api-key", default=None, help="Override the backend API key."),
-]
+)
 
 
-def _with_wire_options(fn):
-    for option in reversed(_wire_options):
-        fn = option(fn)
-    return fn
+def _load_run(spec_path: str, output_dir: str | None, seed: int | None,
+              max_turns: int | None = None) -> RunSpec:
+    """The run spec with --output-dir, --seed (else spec, else entropy) and --max-turns."""
+    spec = load_runspec(spec_path)
+    if seed is None:
+        seed = entropy_seed() if spec.seed is None else spec.seed
+    return replace(spec, output_dir=output_dir or spec.output_dir, seed=seed,
+                   max_turns=spec.max_turns if max_turns is None else max_turns)
 
 
-def _resolve_seed(spec: RunSpec, seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    if spec.seed is not None:
-        return spec.seed
-    return entropy_seed()
-
-
-def _run_one(
-    spec: RunSpec,
-    dialog_id: int,
-    seed: int,
-    output_dir: Path,
-    base_url: str | None,
-    model: str | None,
-    api_key: str | None,
-    max_turns: int | None,
-) -> tuple[Dialog, Path]:
-    backend = make_backend(spec, base_url, model, api_key)
-    first, second = make_agents(spec, backend)
-    dialog = first.dialog_with(
-        second, id=dialog_id, seed=seed,
-        max_turns=max_turns if max_turns is not None else spec.max_turns,
-    )
-    path = output_dir / f"dialog_{dialog_id:03d}.json"
-    write_dialog_file(dialog, path)
-    return dialog, path
+def _run_one(spec: RunSpec, wire: dict[str, str | None],
+             agents: Callable[[Backend], tuple[Agent, Agent]], dialog_id: int, seed: int,
+             name: str = "dialog_{:03d}.json") -> tuple[Dialog, Path]:
+    """Run one dialog between the ``agents`` pair on a fresh backend and write it."""
+    first, second = agents(make_backend(spec, **wire))
+    dialog = first.dialog_with(second, id=dialog_id, seed=seed, max_turns=spec.max_turns)
+    return dialog, write_dialog_file(dialog, Path(spec.output_dir) / name.format(dialog_id))
 
 
 @main.command()
-@_spec_option
-@_output_option
-@_seed_option
+@_spec_options
 @click.option("--id", "dialog_id", default=0, type=int, help="Dialog id (default 0).")
 @click.option("--max-turns", default=None, type=int, help="Override the spec's turn cap.")
 @click.option("--print", "do_print", is_flag=True, help="Render the dialog to stdout.")
-@_with_wire_options
+@_wire_options
 @handle_errors
-def generate(spec_path, output_dir, seed, dialog_id, max_turns, do_print,
-             base_url, model, api_key):
+def generate(spec_path, output_dir, seed, dialog_id, max_turns, do_print, **wire):
     """Generate one dialogue from a run spec and write it as JSON."""
-    spec = load_runspec(spec_path)
-    out = Path(output_dir or spec.output_dir)
-    dialog, path = _run_one(spec, dialog_id, _resolve_seed(spec, seed), out,
-                            base_url, model, api_key, max_turns)
+    spec = _load_run(spec_path, output_dir, seed, max_turns)
+    dialog, path = _run_one(spec, wire, functools.partial(make_agents, spec),
+                            dialog_id, spec.seed)
     if do_print:
         click.echo(render_dialog(dialog, show_orchestration=True), nl=False)
     click.echo(f"wrote {path}", err=True)
 
 
 @main.command()
-@_spec_option
-@_output_option
-@_seed_option
+@_spec_options
 @click.option("-n", "--count", "count", required=True, type=int,
               help="How many dialogues to generate.")
 @click.option("--max-turns", default=None, type=int, help="Override the spec's turn cap.")
-@_with_wire_options
+@_wire_options
 @handle_errors
-def batch(spec_path, output_dir, seed, count, max_turns, base_url, model, api_key):
+def batch(spec_path, output_dir, seed, count, max_turns, **wire):
     """Generate N dialogues as dialog_000.json ... with seeds base+0..base+N-1."""
     if count <= 0:
         raise ConfigError("--count must be positive")
-    spec = load_runspec(spec_path)
-    out = Path(output_dir or spec.output_dir)
-    base_seed = _resolve_seed(spec, seed)
+    spec = _load_run(spec_path, output_dir, seed, max_turns)
+    agents = functools.partial(make_agents, spec)
     for i in range(count):
         try:
-            _, path = _run_one(spec, i, base_seed + i, out,
-                               base_url, model, api_key, max_turns)
+            _, path = _run_one(spec, wire, agents, i, spec.seed + i)
         except (DialogForgeError, OSError) as exc:
             # earlier files are kept; report where the batch stopped
-            raise type(exc)(f"dialog {i} failed: {exc}") from exc
+            raise _fail(f"dialog {i} failed: {exc}", _exit_code(exc)) from exc
         click.echo(f"wrote {path}", err=True)
 
 
 @main.command("star-run")
 @click.option("--root", "root_path", required=True, type=click.Path(),
               help="Dataset root directory.")
-@_spec_option
-@_output_option
-@_seed_option
+@_spec_options
 @click.argument("ids", nargs=-1, type=int)
-@_with_wire_options
+@_wire_options
 @handle_errors
-def star_run(root_path, spec_path, output_dir, seed, ids, base_url, model, api_key):
+def star_run(root_path, spec_path, output_dir, seed, ids, **wire):
     """Simulate dialogues for dataset scenario IDS, one file per id."""
-    spec = load_runspec(spec_path)
+    spec = _load_run(spec_path, output_dir, seed)
     root = set_dataset_root(root_path)
-    out = Path(output_dir or spec.output_dir)
-    base_seed = _resolve_seed(spec, seed)
-    input_failures = backend_failures = 0
+    code = 0
     for dialog_id in ids:
         try:
-            scenario = load_scenario(root, dialog_id)
-            backend = make_backend(spec, base_url, model, api_key)
-            system_agent, user_agent = agents_for_scenario(scenario, backend, root=root)
-            dialog = system_agent.dialog_with(
-                user_agent, id=dialog_id, seed=base_seed + dialog_id,
-                max_turns=spec.max_turns,
-            )
-            path = write_dialog_file(dialog, out / f"star_dialog_{dialog_id}.json")
-        except BackendError as exc:
-            backend_failures += 1
-            click.echo(f"error: scenario {dialog_id}: {exc}", err=True)
-            continue
+            agents = functools.partial(agents_for_scenario, load_scenario(root, dialog_id),
+                                       root=root)
+            _, path = _run_one(spec, wire, agents, dialog_id, spec.seed + dialog_id,
+                               "star_dialog_{}.json")
         except (DialogForgeError, OSError) as exc:
-            input_failures += 1
             click.echo(f"error: scenario {dialog_id}: {exc}", err=True)
-            continue
-        click.echo(f"wrote {path}", err=True)
-    if backend_failures:
-        raise SystemExit(2)
-    if input_failures:
-        raise SystemExit(1)
+            code = max(code, _exit_code(exc))
+        else:
+            click.echo(f"wrote {path}", err=True)
+    if code:
+        raise SystemExit(code)
 
 
 @main.command("print")

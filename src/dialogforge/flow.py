@@ -174,9 +174,15 @@ _PROBABILITY_TOLERANCE = 1e-9
 
 
 def validate_flow_graph(graph: FlowGraph) -> None:
-    """Check per-source probability normalization; raise ConfigError on breach."""
+    """Check unique node ids, edges between nodes and per-source probability
+    normalization; raise ConfigError on breach."""
+    ids = {node.id for node in graph.nodes}
+    if len(ids) != len(graph.nodes):
+        raise ConfigError("flow graph node ids must be unique")
     totals: dict[str, float] = {}
     for edge in graph.edges:
+        if edge.source not in ids or edge.target not in ids:
+            raise ConfigError(f"edge {edge.source}->{edge.target} references a missing node")
         if edge.count <= 0 or not 0.0 < edge.probability <= 1.0:
             raise ConfigError(f"invalid edge weight on {edge.source}->{edge.target}")
         totals[edge.source] = totals.get(edge.source, 0.0) + edge.probability
@@ -297,7 +303,7 @@ def flow_to_dot(graph: FlowGraph) -> str:
         else:
             shape = side_shape.get(node.speaker_side, "box")
             label = _dot_escape(f"{node.label} ({node.size})")
-            lines.append(f'  "{node.id}" [shape={shape}, label="{label}"];')
+            lines.append(f'  "{_dot_escape(node.id)}" [shape={shape}, label="{label}"];')
     for edge in sorted(graph.edges, key=lambda e: (e.source, e.target)):
         label = f"{edge.count} ({edge.probability:.2f})"
         lines.append(

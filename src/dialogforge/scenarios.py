@@ -129,6 +129,9 @@ class Flowchart:
         ids = {node.id for node in self.nodes}
         if len(ids) != len(self.nodes):
             raise InvariantViolation("flowchart node ids must be unique")
+        reserved = sorted(ids & {START_NODE, END_NODE})
+        if reserved:
+            raise InvariantViolation(f"flowchart step ids {reserved} are reserved")
         for edge in self.edges:
             if edge.source not in ids or edge.target not in ids:
                 raise InvariantViolation(

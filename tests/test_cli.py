@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import dialogforge.cli as cli
 from dialogforge import read_dialog_file, serialize_dialog
 from dialogforge.cli import main
+
+# a script without the end marker, so only the turn cap ends a dialog
+ENDLESS = {"scripted": ["Hi there.", "Hello.", "How are you?", "Fine, thanks."]}
 
 
 def write_spec(path: Path, **overrides) -> Path:
@@ -108,6 +113,21 @@ class TestGenerate:
         result = runner.invoke(main, ["generate", "--spec", str(spec)])
         assert result.exit_code == 2
 
+    def test_max_turns_flag_caps_dialog(self, runner, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", backend=ENDLESS)
+        result = runner.invoke(main, ["generate", "--spec", str(spec), "--max-turns", "3"])
+        assert result.exit_code == 0, result.output
+        assert len(read_dialog_file(tmp_path / "out" / "dialog_000.json")) == 3
+        runner.invoke(main, ["generate", "--spec", str(spec), "--id", "1"])
+        assert len(read_dialog_file(tmp_path / "out" / "dialog_001.json")) == 12
+
+    def test_max_turns_zero_exits_1(self, runner, spec_path, tmp_path):
+        result = runner.invoke(main, ["generate", "--spec", str(spec_path),
+                                      "--max-turns", "0"])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_persona_field_exits_1(self, runner, tmp_path):
         spec = write_spec(tmp_path / "spec.json", personas={
             "Alice": {"role": "barista", "mood": "sunny"},
@@ -157,6 +177,29 @@ class TestBatch:
         assert "error: dialog 1 failed: " in result.output
         assert (tmp_path / "out" / "dialog_000.json").is_file()
         assert not (tmp_path / "out" / "dialog_002.json").exists()
+
+    def test_max_turns_flag_caps_every_dialog(self, runner, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", backend=ENDLESS)
+        result = runner.invoke(main, ["batch", "--spec", str(spec), "-n", "3",
+                                      "--max-turns", "3"])
+        assert result.exit_code == 0, result.output
+        paths = sorted((tmp_path / "out").iterdir())
+        assert [len(read_dialog_file(path)) for path in paths] == [3, 3, 3]
+
+    def test_max_turns_zero_exits_1(self, runner, spec_path, tmp_path):
+        result = runner.invoke(main, ["batch", "--spec", str(spec_path), "-n", "2",
+                                      "--max-turns", "0"])
+        assert result.exit_code == 1
+        assert "error: dialog 0 failed: " in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_backend_exhaustion_names_index_exits_2(self, runner, tmp_path):
+        spec = write_spec(tmp_path / "spec.json",
+                          backend={"scripted": ["only one line"], "cycle": False})
+        result = runner.invoke(main, ["batch", "--spec", str(spec), "-n", "3"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: dialog 0 failed: scripted backend exhausted")
+        assert not (tmp_path / "out").exists()
 
     def test_zero_count_rejected(self, runner, spec_path):
         result = runner.invoke(main, ["batch", "--spec", str(spec_path), "-n", "0"])
@@ -222,6 +265,30 @@ class TestStarRun:
         assert (tmp_path / "out" / "star_dialog_101.json").is_file()
         assert (tmp_path / "out" / "star_dialog_103.json").is_file()
         assert result.output.count("error: scenario 102: ") == 1
+
+    @pytest.mark.parametrize("ids", [["101", "999", "102", "103"],
+                                     ["999", "101", "102", "103"]])
+    def test_backend_and_input_failures_exit_2(self, runner, spec_path, star_root,
+                                               tmp_path, monkeypatch, ids):
+        # the backend of scenario 101 holds one line and does not cycle
+        make_backend = cli.make_backend
+        calls = []
+
+        def first_backend_exhausts(spec, *args, **kwargs):
+            if not calls:
+                spec = replace(spec, backend={"scripted": ["only one line"], "cycle": False})
+            calls.append(spec)
+            return make_backend(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_backend", first_backend_exhausts)
+        result = runner.invoke(main, ["star-run", "--root", str(star_root),
+                                      "--spec", str(spec_path), *ids])
+        assert result.exit_code == 2
+        assert len(calls) == 3  # a missing id builds no backend
+        assert result.output.count("error: scenario 101: scripted backend exhausted") == 1
+        assert result.output.count("error: scenario 999: ") == 1
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "star_dialog_102.json", "star_dialog_103.json"]
 
     def test_empty_id_list_ok(self, runner, spec_path, star_root):
         result = runner.invoke(main, ["star-run", "--root", str(star_root),

@@ -13,7 +13,16 @@ import numpy as np
 import pytest
 
 from dialogforge import ConfigError, Dialog, build_flow_graph, cluster, cosine, embed
-from dialogforge.flow import EMBED_DIM, END_NODE, START_NODE, flow_to_dot, validate_flow_graph
+from dialogforge.flow import (
+    EMBED_DIM,
+    END_NODE,
+    START_NODE,
+    FlowEdge,
+    FlowGraph,
+    FlowNode,
+    flow_to_dot,
+    validate_flow_graph,
+)
 from helpers import (
     AGENT_PHRASES,
     CLIENT_PHRASES,
@@ -184,6 +193,29 @@ class TestBuildFlowGraph:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             build_flow_graph([], k=2, seed=0)
+
+
+class TestValidateFlowGraph:
+    NODES = tuple(FlowNode(id=i, speaker_side="", label=i, size=1)
+                  for i in (START_NODE, "a", END_NODE))
+
+    def edges(self, *pairs):
+        return tuple(FlowEdge(source=s, target=t, count=1, probability=1.0) for s, t in pairs)
+
+    def test_path_accepted(self):
+        validate_flow_graph(FlowGraph(self.NODES, self.edges((START_NODE, "a"), ("a", END_NODE))))
+
+    def test_duplicate_node_id_rejected(self):
+        graph = FlowGraph((*self.NODES, self.NODES[1]),
+                          self.edges((START_NODE, "a"), ("a", END_NODE)))
+        with pytest.raises(ConfigError, match="unique"):
+            validate_flow_graph(graph)
+
+    @pytest.mark.parametrize("pair", [("a", "zzz"), ("zzz", END_NODE)])
+    def test_edge_to_missing_node_rejected(self, pair):
+        graph = FlowGraph(self.NODES, self.edges((START_NODE, "a"), pair))
+        with pytest.raises(ConfigError, match="missing node"):
+            validate_flow_graph(graph)
 
 
 class TestFlowToDot:

@@ -1,4 +1,5 @@
-"""Every module in src/ and tests/ references each name it imports."""
+"""Every module in src/ and tests/ references each name it imports, and every
+module-level private name defined in src/ is referenced somewhere in src/."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+SRC_MODULES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = sorted([*SRC_MODULES, *(ROOT / "tests").rglob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -53,3 +55,60 @@ def test_scan_flags_only_unreferenced_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private names of ``sources`` (module -> text) that no module loads.
+
+    A private name has one leading underscore (dunders are not private) and
+    is bound at module level by ``def``, ``class`` or an assignment. It is
+    referenced when any module loads it as a bare name or as an attribute.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    referenced: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unused = []
+    for module, tree in trees.items():
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, ast.Assign):
+                names = [node.id for target in statement.targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                names = [statement.target.id]
+            else:
+                continue
+            unused += [f"{module} line {statement.lineno}: {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in referenced]
+    return unused
+
+
+def test_private_scan_flags_only_unreferenced_names():
+    sources = {
+        "a": (
+            "__version__ = '1'\n"
+            "_LIMIT: int = 3\n"
+            "_a, _b = 1, 2\n"
+            "def _resolve_seed(seed):\n"
+            "    return seed\n"
+            "def _used():\n"
+            "    return _LIMIT + _a\n"
+            "class _Hidden:\n"
+            "    pass\n"
+        ),
+        "b": "from . import a\nprint(a._used(), a._Hidden)\n",
+    }
+    assert unreferenced_privates(sources) == ["a line 3: _b", "a line 4: _resolve_seed"]
+
+
+def test_no_unreferenced_private_names_in_src():
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in SRC_MODULES}
+    assert unreferenced_privates(sources) == []

@@ -154,6 +154,15 @@ class TestFlowchart:
             Flowchart(task="t", nodes=(ChartNode("a", "A", entry=True),),
                       edges=(ChartEdge("a", "zzz"),))
 
+    @pytest.mark.parametrize("reserved", [START_NODE, END_NODE])
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_reserved_step_id_rejected(self, reserved, entry):
+        with pytest.raises(InvariantViolation, match="reserved"):
+            Flowchart(task="t",
+                      nodes=(ChartNode(reserved, "Step", entry=entry),
+                             ChartNode("b", "B", entry=not entry)),
+                      edges=(ChartEdge(reserved, "b"),))
+
     def test_two_node_chart_renders_numbered_steps(self):
         assert describe_flowchart(linear_chart()) == "1. Ask the question\n2. Give the answer"
 
@@ -200,6 +209,17 @@ class TestFlowchart:
         assert "START" in dot and "END" in dot
         assert "Ask the question" in dot
         assert '"a" -> "b"' in dot
+
+    def test_dot_escapes_quoted_step_id_on_node_and_edge_lines(self):
+        chart = Flowchart(
+            task="quote",
+            nodes=(ChartNode('say "hi"', "Greet", entry=True), ChartNode("b", "Bye")),
+            edges=(ChartEdge('say "hi"', "b"),),
+        )
+        lines = flow_to_dot(flowchart_flow_graph(chart)).splitlines()
+        assert '  "say \\"hi\\"" [shape=box, label="Greet (1)"];' in lines
+        assert '  "say \\"hi\\"" -> "b" [label="1 (1.00)"];' in lines
+        assert not any('"say "hi""' in line for line in lines)
 
     def test_fixture_chart_graph_is_uniform_per_step(self, star_root):
         chart = load_flowchart(set_dataset_root(star_root), "banking", "open_account")
