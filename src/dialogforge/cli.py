@@ -7,9 +7,17 @@ Artifacts go to files or stdout; diagnostics go to stderr.
 
 ``batch`` seeds dialog i with base+i, ``star-run`` seeds scenario id with
 base+id. ``star-run`` uses only backend, seed, maxTurns and outputDir (the
-spec's personas and orchestrators are checked, then ignored), goes on past a
-failing id, and exits 2 if any id failed on the backend, else 1 if any failed
-on its input. START and END are reserved ids, not flowchart step ids.
+spec's personas and orchestrators are type-checked but not used, so an
+orchestrator may name an undefined persona), goes on past a failing id, and
+exits 2 if any id failed on the backend, else 1 if any failed on its input.
+START and END are reserved ids, not flowchart step ids.
+
+With a wire backend, ``batch`` and ``star-run`` run WIRE_WORKERS dialogs at
+a time; scripted dialogs run one at a time. Either way files, seeds, stderr
+lines, messages and exit codes are those of a serial run: results are
+written in index (or id) order. After a ``batch`` dialog fails, no dialog
+with a higher index starts; dialogs in flight finish and are not written.
+On Ctrl-C, dialogs in flight finish before the command exits.
 """
 
 from __future__ import annotations
@@ -17,9 +25,12 @@ from __future__ import annotations
 import functools
 import glob as globlib
 import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import click
 
@@ -79,9 +90,7 @@ def load_runspec(path: str | Path) -> RunSpec:
     orchestrators = _may(raw, "orchestrators", list[dict], "spec", default=[])
     for record in orchestrators:
         _need(record, "type", str, "orchestrator record")
-        agent_name = _may(record, "agent", str, "orchestrator record")
-        if agent_name is not None and agent_name not in personas:
-            raise ConfigError(f"orchestrator references unknown persona {agent_name!r}")
+        _may(record, "agent", str, "orchestrator record")
 
     max_turns = _may(raw, "maxTurns", int, "spec", default=40)
     if max_turns <= 0:
@@ -185,8 +194,10 @@ def make_agents(spec: RunSpec, backend: Backend) -> tuple[Agent, Agent]:
         agents[name] = Agent(backend, persona, first_utterance=first)
     first, second = agents.values()
     for record in spec.orchestrators:
-        target = record.get("agent") or first.name
-        agents[target] | build_orchestrator(record)
+        target = record.get("agent")
+        if target is not None and target not in agents:
+            raise ConfigError(f"orchestrator references unknown persona {target!r}")
+        agents[target or first.name] | build_orchestrator(record)
     return first, second
 
 
@@ -246,13 +257,43 @@ def _load_run(spec_path: str, output_dir: str | None, seed: int | None,
                    max_turns=spec.max_turns if max_turns is None else max_turns)
 
 
+# dialogs a wire-backend run keeps in flight; scripted dialogs are pure-Python
+# work under the GIL, and running them one at a time keeps the serial prompt order
+WIRE_WORKERS = 8
+
+
 def _run_one(spec: RunSpec, wire: dict[str, str | None],
-             agents: Callable[[Backend], tuple[Agent, Agent]], dialog_id: int, seed: int,
-             name: str = "dialog_{:03d}.json") -> tuple[Dialog, Path]:
-    """Run one dialog between the ``agents`` pair on a fresh backend and write it."""
+             agents: Callable[[Backend], tuple[Agent, Agent]], dialog_id: int,
+             seed: int) -> Dialog:
+    """Run one dialog between the ``agents`` pair on a fresh backend."""
     first, second = agents(make_backend(spec, **wire))
-    dialog = first.dialog_with(second, id=dialog_id, seed=seed, max_turns=spec.max_turns)
-    return dialog, write_dialog_file(dialog, Path(spec.output_dir) / name.format(dialog_id))
+    return first.dialog_with(second, id=dialog_id, seed=seed, max_turns=spec.max_turns)
+
+
+def _run_in_order(spec: RunSpec, ids: Iterable[int], job: Callable[[int], Dialog],
+                  consume: Callable[[int, Future[Dialog]], None]) -> None:
+    """Run ``job(id)`` for each id on a thread pool and ``consume`` the futures in id order.
+
+    A wire backend runs WIRE_WORKERS jobs at a time, a scripted one runs them
+    one at a time. When ``consume`` raises, or on Ctrl-C, jobs not yet started
+    are cancelled and jobs in flight finish before the exception propagates.
+    """
+    workers = 1 if "scripted" in spec.backend else WIRE_WORKERS
+    ids = iter(ids)
+    pending: deque[tuple[int, Future[Dialog]]] = deque()
+    pool = ThreadPoolExecutor(workers)
+    try:
+        while True:
+            # up to twice the workers are submitted ahead of the dialog being written:
+            # a slow dialog seldom idles a worker, and a long run holds that many
+            # results in memory, not all of them
+            for dialog_id in islice(ids, 2 * workers - len(pending)):
+                pending.append((dialog_id, pool.submit(job, dialog_id)))
+            if not pending:
+                return
+            consume(*pending.popleft())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @main.command()
@@ -265,11 +306,17 @@ def _run_one(spec: RunSpec, wire: dict[str, str | None],
 def generate(spec_path, output_dir, seed, dialog_id, max_turns, do_print, **wire):
     """Generate one dialogue from a run spec and write it as JSON."""
     spec = _load_run(spec_path, output_dir, seed, max_turns)
-    dialog, path = _run_one(spec, wire, functools.partial(make_agents, spec),
-                            dialog_id, spec.seed)
-    if do_print:
-        click.echo(render_dialog(dialog, show_orchestration=True), nl=False)
-    click.echo(f"wrote {path}", err=True)
+    agents = functools.partial(make_agents, spec)
+
+    def write(i, future):
+        dialog = future.result()
+        path = write_dialog_file(dialog, Path(spec.output_dir) / f"dialog_{i:03d}.json")
+        if do_print:
+            click.echo(render_dialog(dialog, show_orchestration=True), nl=False)
+        click.echo(f"wrote {path}", err=True)
+
+    _run_in_order(spec, [dialog_id], lambda i: _run_one(spec, wire, agents, i, spec.seed),
+                  write)
 
 
 @main.command()
@@ -285,13 +332,29 @@ def batch(spec_path, output_dir, seed, count, max_turns, **wire):
         raise ConfigError("--count must be positive")
     spec = _load_run(spec_path, output_dir, seed, max_turns)
     agents = functools.partial(make_agents, spec)
-    for i in range(count):
+    failed: list[int] = []  # indices whose job raised, appended from worker threads
+
+    def job(i):
+        # the batch stops at the lowest failing index and writes nothing above it;
+        # a job past this check when a lower one fails is in flight and is dropped
+        if failed and i > min(failed):
+            return None
         try:
-            _, path = _run_one(spec, wire, agents, i, spec.seed + i)
+            return _run_one(spec, wire, agents, i, spec.seed + i)
+        except BaseException:
+            failed.append(i)
+            raise
+
+    def write(i, future):
+        try:
+            path = write_dialog_file(future.result(),
+                                     Path(spec.output_dir) / f"dialog_{i:03d}.json")
         except (DialogForgeError, OSError) as exc:
             # earlier files are kept; report where the batch stopped
             raise _fail(f"dialog {i} failed: {exc}", _exit_code(exc)) from exc
         click.echo(f"wrote {path}", err=True)
+
+    _run_in_order(spec, range(count), job, write)
 
 
 @main.command("star-run")
@@ -306,17 +369,24 @@ def star_run(root_path, spec_path, output_dir, seed, ids, **wire):
     spec = _load_run(spec_path, output_dir, seed)
     root = set_dataset_root(root_path)
     code = 0
-    for dialog_id in ids:
+
+    def job(dialog_id):
+        agents = functools.partial(agents_for_scenario, load_scenario(root, dialog_id),
+                                   root=root)
+        return _run_one(spec, wire, agents, dialog_id, spec.seed + dialog_id)
+
+    def write(dialog_id, future):
+        nonlocal code
         try:
-            agents = functools.partial(agents_for_scenario, load_scenario(root, dialog_id),
-                                       root=root)
-            _, path = _run_one(spec, wire, agents, dialog_id, spec.seed + dialog_id,
-                               "star_dialog_{}.json")
+            path = write_dialog_file(future.result(),
+                                     Path(spec.output_dir) / f"star_dialog_{dialog_id}.json")
         except (DialogForgeError, OSError) as exc:
             click.echo(f"error: scenario {dialog_id}: {exc}", err=True)
             code = max(code, _exit_code(exc))
         else:
             click.echo(f"wrote {path}", err=True)
+
+    _run_in_order(spec, ids, job, write)
     if code:
         raise SystemExit(code)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -114,13 +115,22 @@ class MockServer:
     """Captures request bodies and replays a queue of behaviors.
 
     Behaviors: ("ok", content), ("status", code), ("drop",) which closes
-    the connection without a response (transport failure).
+    the connection without a response (transport failure). Assigning
+    ``behave`` a function of the request body replaces the queue, which
+    concurrent clients would consume in arrival order. Each request is
+    answered after ``delay`` seconds; ``max_in_flight`` is the most requests
+    the server was handling at once.
     """
 
-    def __init__(self):
+    def __init__(self, delay: float = 0.0):
         self.requests: list[dict] = []
         self.headers: list[dict] = []
         self.behaviors: list[tuple] = []
+        self.behave = lambda body: self.behaviors.pop(0) if self.behaviors else ("ok", "Hi")
+        self.delay = delay
+        self.max_in_flight = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -131,7 +141,17 @@ class MockServer:
                 body = json.loads(self.rfile.read(length))
                 outer.requests.append({"path": self.path, "body": body})
                 outer.headers.append(dict(self.headers))
-                behavior = outer.behaviors.pop(0) if outer.behaviors else ("ok", "Hi")
+                with outer._lock:
+                    outer._in_flight += 1
+                    outer.max_in_flight = max(outer.max_in_flight, outer._in_flight)
+                try:
+                    time.sleep(outer.delay)
+                    self.answer(outer.behave(body))
+                finally:
+                    with outer._lock:
+                        outer._in_flight -= 1
+
+            def answer(self, behavior):
                 if behavior[0] == "drop":
                     # shutdown (not just close) so the client sees the FIN
                     # immediately instead of waiting out its read timeout

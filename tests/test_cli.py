@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +17,9 @@ import pytest
 import dialogforge.cli as cli
 from dialogforge import read_dialog_file, serialize_dialog
 from dialogforge.cli import main
+from dialogforge.seeding import derive_seed
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # a script without the end marker, so only the turn cap ends a dialog
 ENDLESS = {"scripted": ["Hi there.", "Hello.", "How are you?", "Fine, thanks."]}
@@ -290,6 +298,19 @@ class TestStarRun:
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "star_dialog_102.json", "star_dialog_103.json"]
 
+    def test_orchestrator_naming_undefined_persona_ignored(self, runner, star_root,
+                                                           tmp_path):
+        spec = write_spec(tmp_path / "spec.json", orchestrators=[
+            {"type": "length", "agent": "Nobody", "params": {"min": 2, "max": 4}}])
+        result = runner.invoke(main, ["star-run", "--root", str(star_root),
+                                      "--spec", str(spec), "101"])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "out" / "star_dialog_101.json").is_file()
+        for command in (["generate"], ["batch", "-n", "2"]):
+            result = runner.invoke(main, [*command, "--spec", str(spec)])
+            assert result.exit_code == 1
+            assert "orchestrator references unknown persona 'Nobody'" in result.output
+
     def test_empty_id_list_ok(self, runner, spec_path, star_root):
         result = runner.invoke(main, ["star-run", "--root", str(star_root),
                                       "--spec", str(spec_path)])
@@ -451,6 +472,137 @@ class TestWireBackendViaCli:
         result = runner.invoke(main, ["generate", "--spec", str(spec)])
         assert result.exit_code == 1
         assert "DIALOGFORGE_BASE_URL" in result.output
+
+
+def wire_reply(body: dict) -> tuple[str, str]:
+    """A reply that is a function of the request alone, so every send order
+    gives the same dialogs; each dialog ends after 3 to 5 turns."""
+    turn, seed = len(body["messages"]), body["seed"]
+    end = " [END]" if turn >= 3 + seed % 3 else ""
+    return ("ok", f"Reply {turn} to {seed % 997}.{end}")
+
+
+def dialog_of_seed(base: int, ids) -> dict[int, int]:
+    """The dialog index (or id) behind each agent seed of a run with this base."""
+    return {derive_seed(base + i, k): i for i in ids for k in (0, 1)}
+
+
+@pytest.fixture
+def wire_server():
+    from test_backends import MockServer
+
+    server = MockServer(delay=0.01)
+    server.behave = wire_reply
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def wire_spec(wire_server, tmp_path):
+    return write_spec(tmp_path / "spec.json",
+                      backend={"baseUrl": wire_server.url, "model": "m"}, maxTurns=6)
+
+
+class TestConcurrentWireRuns:
+    def test_batch_matches_serial_run(self, runner, wire_server, wire_spec, tmp_path,
+                                      monkeypatch):
+        out = tmp_path / "out"
+        runs = []
+        for workers in (cli.WIRE_WORKERS, 1):
+            monkeypatch.setattr(cli, "WIRE_WORKERS", workers)
+            wire_server.max_in_flight = 0
+            result = runner.invoke(main, ["batch", "--spec", str(wire_spec), "-n", "6"])
+            assert result.exit_code == 0, result.output
+            runs.append(({p.name: p.read_bytes() for p in out.iterdir()}, result.stderr,
+                         wire_server.max_in_flight))
+            shutil.rmtree(out)
+        (files, stderr, in_flight), (serial_files, serial_stderr, _) = runs
+        assert len(files) == 6
+        assert files == serial_files
+        assert stderr == serial_stderr
+        assert in_flight > 1
+
+    def test_batch_failure_leaves_files_below_lowest_failing_index(
+            self, runner, wire_server, wire_spec, tmp_path):
+        count = 40
+        dialog_of = dialog_of_seed(1, range(count))  # the spec's base seed is 1
+        started: set[int] = set()
+
+        def behave(body):
+            dialog = dialog_of[body["seed"]]
+            started.add(dialog)
+            if dialog in (3, 5):
+                return ("status", 500)
+            time.sleep(0.05)  # dialogs 3 and 5 fail before any other dialog ends
+            return wire_reply(body)
+
+        wire_server.behave = behave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = runner.invoke(main, ["batch", "--spec", str(wire_spec),
+                                          "-n", str(count)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.exit_code == 2
+        assert result.output.count("error: ") == 1
+        assert "error: dialog 3 failed: HTTP 500 from backend" in result.output
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "dialog_000.json", "dialog_001.json", "dialog_002.json"]
+        # the first workers' dialogs are in flight when 3 fails; no later one starts
+        assert started <= set(range(cli.WIRE_WORKERS))
+
+    def test_star_run_reports_failures_in_id_order(self, runner, wire_server, wire_spec,
+                                                   star_root, tmp_path):
+        dialog_of = dialog_of_seed(1, (101, 102, 103))
+
+        def behave(body):
+            dialog_id = dialog_of[body["seed"]]
+            if dialog_id == 101:
+                return ("status", 500)
+            if dialog_id == 103:
+                time.sleep(0.05)  # the first id finishes last
+            return wire_reply(body)
+
+        wire_server.behave = behave
+        result = runner.invoke(main, ["star-run", "--root", str(star_root),
+                                      "--spec", str(wire_spec), "103", "101", "102"])
+        assert result.exit_code == 2
+        out = tmp_path / "out"
+        lines = result.stderr.splitlines()
+        assert lines[0] == f"wrote {out / 'star_dialog_103.json'}"
+        assert lines[1].startswith("error: scenario 101: HTTP 500 from backend")
+        assert lines[2:] == [f"wrote {out / 'star_dialog_102.json'}"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "star_dialog_102.json", "star_dialog_103.json"]
+
+    def test_killed_batch_leaves_only_whole_dialog_files(self, wire_server, wire_spec,
+                                                         tmp_path):
+        # requests the kill cuts short are not worth a traceback from the server
+        wire_server.server.handle_error = lambda request, client_address: None
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "dialogforge.cli", "batch", "--spec", str(wire_spec),
+             "-n", "200"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(out.glob("dialog_*.json")) and child.poll() is None:
+                assert time.monotonic() < deadline, "no dialog file within 60 s"
+                time.sleep(0.005)
+        finally:
+            child.kill()  # SIGKILL
+            child.wait(timeout=10)
+        assert child.returncode == -signal.SIGKILL
+        written = sorted(out.glob("dialog_*.json"))
+        assert 0 < len(written) < 200
+        for path in written:
+            read_dialog_file(path).validate()
+        # a kill between write and rename leaves at most a hidden temp file
+        others = {p.name for p in out.iterdir()} - {p.name for p in written}
+        assert all(name.startswith(".dialog_") and name.endswith(".tmp") for name in others)
 
 
 class TestFlowCommand:
