@@ -258,8 +258,12 @@ def _load_run(spec_path: str, output_dir: str | None, seed: int | None,
 
 
 # dialogs a wire-backend run keeps in flight; scripted dialogs are pure-Python
-# work under the GIL, and running them one at a time keeps the serial prompt order
-WIRE_WORKERS = 8
+# work under the GIL, and running them one at a time keeps the serial prompt order.
+# Each request costs the client ~3 ms of GIL-bound CPU in requests. At 2 workers
+# a run mostly waits on the server and takes as long beside other CPU load; from
+# 3 on the client competes for the cores, and on two cores a run's time moved by
+# 10-25% with the load beside it
+WIRE_WORKERS = 2
 
 
 def _run_one(spec: RunSpec, wire: dict[str, str | None],

@@ -523,7 +523,8 @@ class TestConcurrentWireRuns:
         assert in_flight > 1
 
     def test_batch_failure_leaves_files_below_lowest_failing_index(
-            self, runner, wire_server, wire_spec, tmp_path):
+            self, runner, wire_server, wire_spec, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "WIRE_WORKERS", 8)  # both failing dialogs start at once
         count = 40
         dialog_of = dialog_of_seed(1, range(count))  # the spec's base seed is 1
         started: set[int] = set()
