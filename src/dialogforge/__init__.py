@@ -71,7 +71,6 @@ from .orchestrators import (
 )
 from .scenarios import (
     Capability,
-    DatasetRoot,
     Flowchart,
     Scenario,
     agents_for_scenario,
@@ -95,7 +94,6 @@ __all__ = [
     "ChangeMindOrchestrator",
     "ClusterModel",
     "ConfigError",
-    "DatasetRoot",
     "Dialog",
     "DialogForgeError",
     "DuplicateAgentName",

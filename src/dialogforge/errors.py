@@ -71,11 +71,7 @@ class SchemaViolation(BackendError):
 
 
 class NotFound(DialogForgeError):
-    """A dataset item (dialogue, scenario, flowchart) does not exist."""
-
-    def __init__(self, message: str, item_id: object = None):
-        super().__init__(message)
-        self.item_id = item_id
+    """A dataset item (dialogue, scenario, flowchart) does not exist; the message names it."""
 
 
 class NotADirectory(DialogForgeError):

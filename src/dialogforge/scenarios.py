@@ -1,11 +1,13 @@
 """Task-oriented scenario schema, dataset-root access, and agent construction.
 
-A dataset root is a directory with the layout:
+A dataset root is a directory, passed around as the resolved Path that
+``set_dataset_root`` returns, with the layout:
 
     dialogues/{id}.json            canonical structured dialogs
     scenarios/{id}.json            scenario objects (capitalized keys)
     flowcharts/{domain}/{task}.json task flowcharts
 
+A domain or task that is ``..`` or holds a path separator names no flowchart.
 Scenario files use the capitalized external keys (Domains, UserTask,
 WizardTask, Happy, MultiTask, WizardCapabilities); lowercase variants are
 accepted on input and normalized.
@@ -16,7 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .agents import Agent, Persona
 from .backends import Backend
@@ -164,53 +166,52 @@ class Flowchart:
         return cls(task=_may(data, "task", str, "flowchart") or "", nodes=nodes, edges=edges)
 
 
-@dataclass(frozen=True)
-class DatasetRoot:
-    """Read-only handle to a scenario dataset directory."""
-
-    path: Path
-
-
-def set_dataset_root(path: str | Path) -> DatasetRoot:
+def set_dataset_root(path: str | Path) -> Path:
     """Resolve and validate the dataset root directory."""
     resolved = Path(path).resolve()
     if not resolved.is_dir():
         raise NotADirectory(f"{path!s} is not a readable directory")
-    return DatasetRoot(path=resolved)
+    return resolved
 
 
-def load_dialog(root: DatasetRoot, dialog_id: int) -> Dialog:
+def _load(root: Path, parts: tuple[str, ...], missing: str, context: str,
+          parse: Callable[[Path], Any]) -> Any:
+    """``parse`` of the dataset file ``root/parts[0]/.../parts[-1].json``.
+
+    A part that is ``..`` or holds a path separator names no file: nothing outside root is read.
+    """
+    *folders, stem = parts
+    path = root.joinpath(*folders, f"{stem}.json")
+    if any(part == ".." or "/" in part or "\\" in part for part in parts) or not path.is_file():
+        raise NotFound(f"no {missing} under {root}")
+    try:
+        return parse(path)
+    except InvariantViolation as exc:
+        raise ParseError(f"{context}: {exc}") from exc
+
+
+def load_dialog(root: Path, dialog_id: int) -> Dialog:
     """Load dialogues/{id}.json, attaching scenarios/{id}.json when present."""
-    path = root.path / "dialogues" / f"{dialog_id}.json"
-    if not path.is_file():
-        raise NotFound(f"no dialogue with id {dialog_id} under {root.path}", dialog_id)
-    dialog = read_dialog_file(path)
-    scenario_path = root.path / "scenarios" / f"{dialog_id}.json"
+    dialog = _load(root, ("dialogues", str(dialog_id)), f"dialogue with id {dialog_id}",
+                   f"dialogue {dialog_id}", read_dialog_file)
+    scenario_path = root / "scenarios" / f"{dialog_id}.json"
     if scenario_path.is_file():
         dialog = replace(dialog, scenario=_read_json(scenario_path, "scenario"))
     return dialog
 
 
-def load_scenario(root: DatasetRoot, dialog_id: int) -> Scenario:
+def load_scenario(root: Path, dialog_id: int) -> Scenario:
     """Load scenarios/{id}.json as a normalized Scenario."""
-    path = root.path / "scenarios" / f"{dialog_id}.json"
-    if not path.is_file():
-        raise NotFound(f"no scenario with id {dialog_id} under {root.path}", dialog_id)
-    try:
-        return Scenario.from_dict(_read_json(path, "scenario"))
-    except InvariantViolation as exc:
-        raise ParseError(f"scenario {dialog_id}: {exc}") from exc
+    return _load(root, ("scenarios", str(dialog_id)), f"scenario with id {dialog_id}",
+                 f"scenario {dialog_id}",
+                 lambda path: Scenario.from_dict(_read_json(path, "scenario")))
 
 
-def load_flowchart(root: DatasetRoot, domain: str, task: str) -> Flowchart:
+def load_flowchart(root: Path, domain: str, task: str) -> Flowchart:
     """Load flowcharts/{domain}/{task}.json."""
-    path = root.path / "flowcharts" / domain / f"{task}.json"
-    if not path.is_file():
-        raise NotFound(f"no flowchart for {domain}/{task} under {root.path}", task)
-    try:
-        return Flowchart.from_dict(_read_json(path, "flowchart"))
-    except InvariantViolation as exc:
-        raise ParseError(f"flowchart {domain}/{task}: {exc}") from exc
+    return _load(root, ("flowcharts", domain, task), f"flowchart for {domain}/{task}",
+                 f"flowchart {domain}/{task}",
+                 lambda path: Flowchart.from_dict(_read_json(path, "flowchart")))
 
 
 def describe_scenario(scenario: Scenario) -> str:
@@ -246,22 +247,6 @@ def describe_flowchart(chart: Flowchart) -> str:
     for edge in chart.edges:
         adjacency[edge.source].append(edge)
 
-    reachable: set[str] = set()
-    stack = [chart.entry.id]
-    while stack:
-        node_id = stack.pop()
-        if node_id in reachable:
-            continue
-        reachable.add(node_id)
-        stack.extend(edge.target for edge in adjacency[node_id])
-    if reachable and all(adjacency[node_id] for node_id in reachable):
-        # cyclic with no exit: no terminal step to end a numbered walk on
-        lines = []
-        for edge in chart.edges:
-            suffix = f" [{edge.label}]" if edge.label else ""
-            lines.append(f"{by_id[edge.source].label} -> {by_id[edge.target].label}{suffix}")
-        return "\n".join(lines)
-
     steps: dict[str, int] = {}
     lines = []
 
@@ -282,6 +267,12 @@ def describe_flowchart(chart: Flowchart) -> str:
                 visit(edge.target, edge.label)
 
     visit(chart.entry.id, None)
+    if all(adjacency[node_id] for node_id in steps):
+        # cyclic with no exit: no terminal step ends the numbered walk
+        lines = []
+        for edge in chart.edges:
+            suffix = f" [{edge.label}]" if edge.label else ""
+            lines.append(f"{by_id[edge.source].label} -> {by_id[edge.target].label}{suffix}")
     return "\n".join(lines)
 
 
@@ -320,7 +311,7 @@ MULTI_TASK_CLAUSE = "; juggling several related tasks in one conversation"
 def agents_for_scenario(
     scenario: Scenario,
     backend: Backend,
-    root: DatasetRoot | None = None,
+    root: Path | None = None,
 ) -> tuple[Agent, Agent]:
     """Build the (system, user) agent pair for a scenario.
 

@@ -1,9 +1,11 @@
-"""Every module in src/ and tests/ references each name it imports, and every
-module-level private name defined in src/ is referenced somewhere in src/."""
+"""Every module in src/ and tests/ references each name it imports, every
+module-level private name defined in src/ is referenced somewhere in src/, and
+the package exports exactly the names its ``__init__`` imports."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -112,3 +114,13 @@ def test_no_unreferenced_private_names_in_src():
     sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
                for path in SRC_MODULES}
     assert unreferenced_privates(sources) == []
+
+
+def test_package_all_lists_each_imported_name_once():
+    import dialogforge
+
+    tree = ast.parse((ROOT / "src" / "dialogforge" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert [name for name, n in Counter(dialogforge.__all__).items() if n > 1] == []
+    assert set(dialogforge.__all__) == imported

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -75,7 +78,7 @@ class TestDatasetRoot:
     def test_relative_path_resolved(self, star_root, monkeypatch):
         monkeypatch.chdir(star_root.parent)
         root = set_dataset_root("star")
-        assert root.path == star_root.resolve()
+        assert root == star_root.resolve()
 
     def test_load_dialog_attaches_scenario(self, star_root):
         dialog = load_dialog(set_dataset_root(star_root), 101)
@@ -107,6 +110,83 @@ class TestDatasetRoot:
         (tmp_path / "dialogues" / "1.json").write_bytes(b"\xff\xfe{}")
         with pytest.raises(ParseError):
             load_dialog(set_dataset_root(tmp_path), 1)
+
+
+class TestDatasetErrorMessages:
+    """The exact text of each dataset error; star-run prints it after ``error: ``."""
+
+    @pytest.mark.parametrize("load, message", [
+        (lambda root: load_dialog(root, 999), "no dialogue with id 999 under {root}"),
+        (lambda root: load_scenario(root, 999), "no scenario with id 999 under {root}"),
+        (lambda root: load_flowchart(root, "d", "t"), "no flowchart for d/t under {root}"),
+    ], ids=["dialogue", "scenario", "flowchart"])
+    def test_not_found(self, star_root, load, message):
+        with pytest.raises(NotFound) as info:
+            load(set_dataset_root(star_root))
+        assert str(info.value) == message.format(root=star_root.resolve())
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"Domains": []}', "scenario 7: scenario needs at least one domain"),
+        ('{"Domains": "banking"}', "scenario 7: scenario: missing or invalid 'Domains' field"),
+    ])
+    def test_scenario_parse_error_prefix(self, tmp_path, text, message):
+        (tmp_path / "scenarios").mkdir()
+        (tmp_path / "scenarios" / "7.json").write_text(text)
+        with pytest.raises(ParseError) as info:
+            load_scenario(set_dataset_root(tmp_path), 7)
+        assert str(info.value) == message
+
+    def test_flowchart_parse_error_prefix(self, tmp_path):
+        (tmp_path / "flowcharts" / "d").mkdir(parents=True)
+        (tmp_path / "flowcharts" / "d" / "t.json").write_text('{"nodes": [{"id": "a", "label": "A"}]}')
+        with pytest.raises(ParseError) as info:
+            load_flowchart(set_dataset_root(tmp_path), "d", "t")
+        assert str(info.value) == "flowchart d/t: flowchart needs exactly one entry node, found 0"
+
+    def test_non_object_file(self, tmp_path):
+        (tmp_path / "scenarios").mkdir()
+        (tmp_path / "scenarios" / "7.json").write_text("[]")
+        with pytest.raises(ParseError) as info:
+            load_scenario(set_dataset_root(tmp_path), 7)
+        path = tmp_path.resolve() / "scenarios" / "7.json"
+        assert str(info.value) == f"scenario {path} must contain a JSON object"
+
+    def test_not_a_directory(self, tmp_path):
+        with pytest.raises(NotADirectory) as info:
+            set_dataset_root(tmp_path / "nope")
+        assert str(info.value) == f"{tmp_path / 'nope'} is not a readable directory"
+
+
+class TestDatasetPathComponents:
+    """A capability's Domain and Task each name one path component under flowcharts/."""
+
+    @pytest.mark.parametrize("domain, task", [
+        ("../../outside", "leak"), ("..", "t"), ("d", ".."),
+        ("a/b", "t"), ("d", "x/y"), ("a\\b", "t"), ("d", "x\\y"), ("/etc", "t"),
+    ])
+    def test_non_component_names_no_flowchart(self, tmp_path, monkeypatch, domain, task):
+        root = set_dataset_root(tmp_path)
+
+        def touched(path):
+            raise AssertionError(f"file system touched for {path}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "is_file", touched)
+            patch.setattr(Path, "read_text", touched)
+            with pytest.raises(NotFound) as info:
+                load_flowchart(root, domain, task)
+        assert str(info.value) == f"no flowchart for {domain}/{task} under {tmp_path.resolve()}"
+
+    def test_chart_outside_root_not_in_wizard_rules(self, tmp_path, star_root):
+        (tmp_path / "dataset" / "flowcharts").mkdir(parents=True)
+        (tmp_path / "outside").mkdir()
+        chart = star_root / "flowcharts" / "banking" / "open_account.json"
+        (tmp_path / "outside" / "leak.json").write_text(chart.read_text())
+        scenario = Scenario(domains=("../../outside",),
+                            capabilities=(Capability(task="leak", domain="../../outside"),))
+        root = set_dataset_root(tmp_path / "dataset")
+        system_agent, _ = agents_for_scenario(scenario, ScriptedBackend(["x"]), root=root)
+        assert system_agent.persona.rules == "You can help with these tasks: leak (../../outside)."
 
 
 class TestDescribeScenario:
@@ -252,6 +332,48 @@ class TestFlowchart:
     def test_describe_deterministic(self, star_root):
         chart = load_flowchart(set_dataset_root(star_root), "banking", "open_account")
         assert describe_flowchart(chart) == describe_flowchart(chart)
+
+
+def random_chart(rng: random.Random) -> Flowchart:
+    """A valid chart of 1-7 steps with random, possibly cyclic or unreachable, edges."""
+    ids = [f"s{i}" for i in range(rng.randint(1, 7))]
+    entry = rng.choice(ids)
+    edges = [
+        ChartEdge(source, rng.choice(ids), rng.choice([None, "", f"case {source}{k}"]))
+        for source in ids for k in range(rng.choice([0, 0, 1, 1, 2, 3]))
+    ]
+    nodes = [ChartNode(node_id, f"Step {node_id}", entry=node_id == entry) for node_id in ids]
+    return Flowchart(task="random", nodes=nodes, edges=edges)
+
+
+def reachable_steps(chart: Flowchart) -> set[str]:
+    seen, frontier = set(), [chart.entry.id]
+    while frontier:
+        node_id = frontier.pop()
+        if node_id not in seen:
+            seen.add(node_id)
+            frontier += [edge.target for edge in chart.edges if edge.source == node_id]
+    return seen
+
+
+class TestDescribeFlowchartOracle:
+    """Renderings of 300 seeded random charts, pinned before the walk was rewritten."""
+
+    DIGEST = "e450a0d9b1a116f4d1976c0be01166f084d2a3dd21f19b27add1757a45930867"
+
+    def test_renderings_pinned(self):
+        rng = random.Random(8)
+        charts = [random_chart(rng) for _ in range(300)]
+        renderings = [describe_flowchart(chart) for chart in charts]
+        edge_lists = 0
+        for chart, text in zip(charts, renderings):
+            sources = {edge.source for edge in chart.edges}
+            has_exit = any(node_id not in sources for node_id in reachable_steps(chart))
+            assert text.startswith("1. ") == has_exit, text
+            edge_lists += not has_exit
+        assert 30 <= edge_lists <= 270
+        digest = hashlib.sha256(json.dumps(renderings).encode("utf-8")).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestAgentsForScenario:
