@@ -8,10 +8,9 @@ once, but distinct agents may run distinct dialogues concurrently.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from .backends import Backend, Message, SamplingParams
 from .dialog import Dialog, Event, _optional, _require
@@ -109,11 +108,12 @@ class Agent:
     """Role-plays a persona against a completion backend.
 
     The agent's ``name`` is its persona's name. ``memory[0]`` is always the
-    compiled system prompt. Orchestrators are queried in attachment order
-    before every generated utterance; attach them with the ``|`` operator.
-    A fixed ``first_utterance`` replaces the first generated move (no
-    backend call, no orchestration for that move). The RNG is seeded by
-    ``reset``; a new agent starts from fresh entropy.
+    compiled system prompt; ``turns`` counts the moves since ``reset``.
+    Orchestrators are queried in attachment order before every generated
+    utterance; attach them with the ``|`` operator. A fixed
+    ``first_utterance`` is the first move, whether the agent opens or
+    answers (no backend call, no orchestration for that move). The RNG is
+    seeded by ``reset``; a new agent starts from fresh entropy.
     """
 
     def __init__(
@@ -131,6 +131,7 @@ class Agent:
         self.seed: int = 0
         self.rng: random.Random = random.Random()
         self.memory: list[Message] = []
+        self.turns: int = 0
         self.reset()
 
     @property
@@ -143,57 +144,58 @@ class Agent:
         return self
 
     def reset(self, seed: int | None = None) -> "Agent":
-        """Clear memory back to the system prompt, reseed the RNG, and
-        reset orchestrator state. A None seed draws fresh entropy."""
+        """Clear memory back to the system prompt and ``turns`` to 0, reseed
+        the RNG, reset orchestrator state. A None seed draws fresh entropy."""
         self.seed = entropy_seed() if seed is None else seed
         self.rng = random.Random(self.seed)
         self.memory = [Message("system", self._system_prompt)]
+        self.turns = 0
         for orchestrator in self.orchestrators:
             orchestrator.reset()
         return self
 
-    def respond(
-        self,
-        incoming: str | None,
-        dialog: Dialog,
-        clock: Callable[[], int] | None = None,
-    ) -> tuple[str, list[Event]]:
-        """Produce the agent's next utterance given the partner's last one.
+    def respond(self, incoming: str | None, dialog: Dialog) -> tuple[str, list[Event]]:
+        """Take the agent's next move given the partner's last utterance.
 
-        Queries each orchestrator in order; each instruction text it fires
-        is placed as a system message between memory and the incoming
+        The first move after ``reset`` is ``first_utterance`` if set. Every
+        other move queries each orchestrator in order; each instruction text
+        it fires is placed as a system message between memory and the incoming
         message for this generation only, and emitted as an instruct event
-        labelled with the orchestrator's class name. Instructions from an
-        orchestrator with ``persist`` set also stay in memory. The utter
-        event for the reply is the caller's job.
+        labelled with the orchestrator's class name and stamped with its
+        position in ``dialog.events``. The incoming message, the reply and
+        instructions from an orchestrator with ``persist`` set join memory.
+        The utter event for the reply is the caller's job.
         """
-        now = clock if clock is not None else (lambda: 0)
         events: list[Event] = []
-        fired: list[Message] = []
         kept: list[Message] = []
-        for orchestrator in self.orchestrators:
-            text = orchestrator.instruct(dialog, incoming)
-            if text is None:
-                continue
-            if not text:
-                raise InvariantViolation("instruction text must be non-empty")
-            message = Message("system", text)
-            fired.append(message)
-            if orchestrator.persist:
-                kept.append(message)
-            events.append(
-                Event(
-                    agent=self.name,
-                    action="instruct",
-                    action_label=orchestrator.name,
-                    text=text,
-                    timestamp=now(),
-                )
-            )
         partner = [] if incoming is None else [Message("user", incoming)]
-        params = SamplingParams(seed=self.seed)
-        reply = self.backend.complete(self.memory + fired + partner, params)
+        if self.turns == 0 and self.first_utterance is not None:
+            reply = self.first_utterance
+        else:
+            fired: list[Message] = []
+            for orchestrator in self.orchestrators:
+                text = orchestrator.instruct(dialog, incoming)
+                if text is None:
+                    continue
+                if not text:
+                    raise InvariantViolation("instruction text must be non-empty")
+                message = Message("system", text)
+                fired.append(message)
+                if orchestrator.persist:
+                    kept.append(message)
+                events.append(
+                    Event(
+                        agent=self.name,
+                        action="instruct",
+                        action_label=orchestrator.name,
+                        text=text,
+                        timestamp=len(dialog.events) + len(events),
+                    )
+                )
+            params = SamplingParams(seed=self.seed)
+            reply = self.backend.complete(self.memory + fired + partner, params)
         self.memory += kept + partner + [Message("assistant", reply)]
+        self.turns += 1
         return reply, events
 
     def dialog_with(
@@ -207,11 +209,12 @@ class Agent:
 
         Both agents are reset before the run and reseeded deterministically
         from the dialog seed and their position, so the whole run is a pure
-        function of (backends, personas, orchestrator configs, seed). The
-        dialog ends when an utterance ends with the end marker (stripped
-        from the stored turn) or after ``max_turns`` turns. Event
-        timestamps are a per-dialog monotone counter, keeping serialized
-        output byte-stable across reruns.
+        function of (backends, personas, orchestrator configs, seed). Each
+        move is the speaker's ``respond``. The dialog ends when an utterance
+        ends with the end marker (stripped from the stored turn) or after
+        ``max_turns`` turns. An event's timestamp is its position in the
+        dialog's event list, keeping serialized output byte-stable across
+        reruns.
         """
         if max_turns <= 0:
             raise ConfigError("max_turns must be positive")
@@ -233,21 +236,15 @@ class Agent:
                 other.name: other.persona.to_dict(),
             },
         )
-        ticker = itertools.count()
-        clock = lambda: next(ticker)  # noqa: E731
 
         speaker, listener = self, other
         incoming: str | None = None
-        for index in range(max_turns):
-            if index == 0 and speaker.first_utterance is not None:
-                raw, events = speaker.first_utterance, []
-                speaker.memory.append(Message("assistant", raw))
-            else:
-                raw, events = speaker.respond(incoming, dialog, clock=clock)
+        for _ in range(max_turns):
+            raw, events = speaker.respond(incoming, dialog)
             for event in events:
                 dialog = dialog.append_event(event)
             ended, text = _split_end_marker(raw)
-            dialog = dialog.append_utterance(speaker.name, text, clock())
+            dialog = dialog.append_utterance(speaker.name, text, len(dialog.events))
             if ended:
                 break
             incoming = text

@@ -375,9 +375,10 @@ def star_run(root_path, spec_path, output_dir, seed, ids, **wire):
     code = 0
 
     def job(dialog_id):
-        agents = functools.partial(agents_for_scenario, load_scenario(root, dialog_id),
-                                   root=root)
-        return _run_one(spec, wire, agents, dialog_id, spec.seed + dialog_id)
+        scenario = load_scenario(root, dialog_id)
+        agents = functools.partial(agents_for_scenario, scenario, root=root)
+        dialog = _run_one(spec, wire, agents, dialog_id, spec.seed + dialog_id)
+        return replace(dialog, scenario=scenario.to_dict())
 
     def write(dialog_id, future):
         nonlocal code

@@ -29,7 +29,6 @@ FORMAT_VERSION = "1"
 
 ACTIONS = ("utter", "instruct", "pick_suggestion")
 
-Action = Literal["utter", "instruct", "pick_suggestion"]
 Format = Literal["structured", "plain"]
 
 
@@ -397,7 +396,8 @@ def _format_for(path: Path) -> Format:
 
 def write_text_atomic(path: Path, text: str) -> None:
     """Write UTF-8 text through a temp file in the target directory and
-    ``os.replace``, so the target holds either its old or its new content."""
+    ``os.replace``: a killed process leaves the old or the new content (no
+    fsync, so this does not hold across a power loss)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -210,8 +210,8 @@ class SimpleResponseOrchestrator(Orchestrator):
 class InstructionListOrchestrator(Orchestrator):
     """Plays back a fixed plan of instructions keyed by the agent's own turn index.
 
-    Index 0 is the agent's first utterance; indices count only the owning
-    agent's moves, not the partner's.
+    The index is the owning agent's ``turns``, so only its own moves count;
+    a fixed first utterance takes index 0 without consulting the plan.
     """
 
     def __init__(self, plan: Mapping[int, str], persist: bool = False):
@@ -222,6 +222,4 @@ class InstructionListOrchestrator(Orchestrator):
         self.plan = dict(plan)
 
     def instruct(self, dialog: Dialog, utterance: str | None):
-        name = self._owner().name
-        own_turns = sum(1 for turn in dialog.turns if turn.speaker == name)
-        return self.plan.get(own_turns)
+        return self.plan.get(self._owner().turns)

@@ -199,6 +199,40 @@ class TestDialogWith:
         assert any(m.role == "assistant" and m.content == "Welcome to the cafe!"
                    for m in a.memory)
 
+    def test_first_utterance_of_second_agent(self):
+        a = Agent(ScriptedBackend(["a1", "a2 [END]"]), ALICE)
+        b = Agent(ScriptedBackend(["never spoken"]), BOB, first_utterance="Hello there!")
+        b = b | SimpleReflexOrchestrator(lambda _: True, "not consulted")
+        d = a.dialog_with(b, seed=0)
+        assert [(t.speaker, t.text) for t in d.turns] == [
+            ("Alice", "a1"), ("Bob", "Hello there!"), ("Alice", "a2")]
+        assert not any(e.action == "instruct" for e in d.events)
+        # Bob heard Alice's line before giving his fixed one
+        assert [(m.role, m.content) for m in b.memory[1:]] == [
+            ("user", "a1"), ("assistant", "Hello there!")]
+
+    def test_agents_count_their_own_turns(self):
+        a = Agent(ScriptedBackend(["a"], cycle=True), ALICE, first_utterance="Hi")
+        b = Agent(ScriptedBackend(["b"], cycle=True), BOB)
+        a.dialog_with(b, max_turns=5)
+        assert (a.turns, b.turns) == (3, 2)
+        assert a.reset().turns == 0
+
+    def test_timestamps_are_event_positions(self):
+        a = Agent(ScriptedBackend(["a"], cycle=True), ALICE)
+        a = a | SimpleReflexOrchestrator(lambda _: True, "one") \
+              | SimpleReflexOrchestrator(lambda u: u == "b", "two")
+        b = Agent(ScriptedBackend(["b"], cycle=True), BOB)
+        d = a.dialog_with(b, max_turns=5)
+        assert [e.timestamp for e in d.events] == list(range(len(d.events)))
+        assert [e.action for e in d.events[:4]] == ["instruct", "utter", "utter", "instruct"]
+
+    def test_differing_backend_models_joined(self):
+        a = Agent(ScriptedBackend(["x [END]"]), ALICE)
+        b = Agent(ScriptedBackend(["y"]), BOB)
+        a.backend.model, b.backend.model = "a", "b"
+        assert a.dialog_with(b).model == "a+b"
+
     def test_turn_event_sync_after_run(self):
         a = Agent(ScriptedBackend(["a1", "a2", "a3 [END]"]), ALICE)
         a = a | SimpleReflexOrchestrator(lambda _: True, "stay on topic")

@@ -20,6 +20,7 @@ from dialogforge import (
     ScriptedBackend,
     WireError,
 )
+from dialogforge.cli import main
 
 SYSTEM = [Message("system", "You are a test.")]
 PARAMS = SamplingParams()
@@ -114,8 +115,9 @@ class TestScriptedBackend:
 class MockServer:
     """Captures request bodies and replays a queue of behaviors.
 
-    Behaviors: ("ok", content), ("status", code), ("drop",) which closes
-    the connection without a response (transport failure). Assigning
+    Behaviors: ("ok", content), ("status", code), ("raw", body) which
+    answers 200 with exactly ``body`` (bytes), ("drop",) which closes the
+    connection without a response (transport failure). Assigning
     ``behave`` a function of the request body replaces the queue, which
     concurrent clients would consume in arrival order. Each request is
     answered after ``delay`` seconds; ``max_in_flight`` is the most requests
@@ -157,6 +159,12 @@ class MockServer:
                     # immediately instead of waiting out its read timeout
                     self.close_connection = True
                     self.connection.shutdown(socket.SHUT_RDWR)
+                    return
+                if behavior[0] == "raw":  # a 200 response with this exact body
+                    self.send_response(200)
+                    self.send_header("Content-Length", str(len(behavior[1])))
+                    self.end_headers()
+                    self.wfile.write(behavior[1])
                     return
                 if behavior[0] == "status":
                     payload = b'{"error": "boom"}'
@@ -268,6 +276,26 @@ class TestHttpBackend:
         backend = HttpBackend(mock.url, "m", api_key="k")
         with pytest.raises(EmptyCompletion):
             backend.complete(SYSTEM, PARAMS)
+
+    @pytest.mark.parametrize("body", [
+        b"<html>not json</html>",
+        b'{"id": "cmpl-1"}',
+        b'{"choices": [{"message": {"role": "assistant", "content": null}}]}',
+    ], ids=["not-json", "no-choices", "content-null"])
+    def test_malformed_body_is_wire_error(self, mock, body, runner, tmp_path):
+        mock.behave = lambda request: ("raw", body)
+        with pytest.raises(WireError):
+            HttpBackend(mock.url, "m", api_key="k").complete(SYSTEM, PARAMS)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "backend": {"baseUrl": mock.url, "model": "m"},
+            "personas": {"Alice": {}, "Bob": {}},
+            "outputDir": str(tmp_path / "out"),
+        }), encoding="utf-8")
+        result = runner.invoke(main, ["generate", "--spec", str(spec)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error: ")
+        assert len(mock.requests) == 2  # one per attempt above, none retried
 
     def test_bad_url_rejected(self):
         with pytest.raises(ConfigError):

@@ -136,6 +136,24 @@ class TestGenerate:
         assert result.output.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"maxTurns": 0}, "'maxTurns' must be a positive integer"),
+        # port 9 on the loopback: a spec accepted by mistake fails fast with exit 2
+        ({"backend": {"baseUrl": "http://127.0.0.1:9/v1"}}, "no model name"),
+        ({"orchestrators": [{"type": "instruction_list", "params": {"plan": {"x": "Hi"}}}]},
+         "plan keys must be decimal turn indices"),
+        ({"personas": {"Alice": {}}}, "exactly two personas, found 1"),
+        ({"personas": {"Alice": {}, "Bob": {}, "Carol": {}}}, "exactly two personas, found 3"),
+    ], ids=["maxTurns-zero", "wire-without-model", "plan-key-not-index", "one-persona",
+            "three-personas"])
+    def test_invalid_spec_value_exits_1(self, runner, tmp_path, overrides, message):
+        spec = write_spec(tmp_path / "spec.json", **overrides)
+        result = runner.invoke(main, ["generate", "--spec", str(spec)])
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ")
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_persona_field_exits_1(self, runner, tmp_path):
         spec = write_spec(tmp_path / "spec.json", personas={
             "Alice": {"role": "barista", "mood": "sunny"},
@@ -352,6 +370,26 @@ class TestPrint:
         # fixture dialogue file itself has no scenario attached; header only
         # appears for dialogs that carry one
         assert result.exit_code == 0
+
+    def test_scenario_header_from_star_run_output(self, runner, spec_path, star_root,
+                                                  tmp_path):
+        result = runner.invoke(main, ["star-run", "--root", str(star_root),
+                                      "--spec", str(spec_path), "101"])
+        assert result.exit_code == 0, result.output
+        path = str(tmp_path / "out" / "star_dialog_101.json")
+        result = runner.invoke(main, ["print", path, "--scenario"])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("--- scenario ---\n")
+        header = result.output.split("---\n")[1].splitlines()
+        assert header == [
+            "Domains: ['banking']",
+            "UserTask: Open a new account",
+            "WizardTask: Assist with account opening",
+            "Happy: True",
+            "MultiTask: False",
+            "WizardCapabilities: [{'Task': 'open_account', 'Domain': 'banking'}]",
+        ]
+        assert "UserTask" not in runner.invoke(main, ["print", path]).output
 
     def test_txt_input_renders(self, runner, tmp_path):
         txt = tmp_path / "d.txt"

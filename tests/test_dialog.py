@@ -180,6 +180,18 @@ class TestDeserialization:
         with pytest.raises(ParseError):
             deserialize_dialog(json.dumps(doc), "structured")
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: [doc],
+        lambda doc: {**doc, "events": [{**doc["events"][0], "timestamp": 12},
+                                       doc["events"][1]]},
+        lambda doc: {**doc, "events": [doc["events"][0],
+                                       {**doc["events"][1], "text": "Goodbye"}]},
+    ], ids=["top-level-array", "decreasing-timestamps", "utter-text-differs"])
+    def test_inconsistent_document_rejected(self, corrupt):
+        doc = json.loads(serialize_dialog(two_turn_dialog(), "structured"))
+        with pytest.raises(ParseError):
+            deserialize_dialog(json.dumps(corrupt(doc)), "structured")
+
     def test_missing_events_synthesized(self):
         doc = json.loads(serialize_dialog(two_turn_dialog(), "structured"))
         del doc["events"]

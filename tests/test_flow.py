@@ -107,6 +107,17 @@ class TestCluster:
         assert all(0 <= a < 3 for a in model.assignments)
         assert np.isfinite(model.centroids).all()
 
+    def test_empty_cluster_repaired(self):
+        # with this seed one of the four clusters loses every point to its
+        # neighbours during the Lloyd rounds; the repair hands it the point
+        # farthest from its own centroid. A rewrite of cluster() must keep
+        # these assignments.
+        points = [[8.9, 8.3], [6.9, 0.9], [9.9, 4.7], [0.5, 4.4], [9.0, 7.9],
+                  [8.8, 7.9], [0.4, 7.1]]
+        model = cluster([np.array(p) for p in points], k=4, seed=2133)
+        assert model.assignments == (0, 3, 1, 2, 0, 0, 2)
+        assert set(model.assignments) == {0, 1, 2, 3}
+
 
 def counts_by_label(graph):
     """Edge counts keyed like ``bigram_transition_counts``: (side, label) pairs."""

@@ -7,7 +7,8 @@ a fixed first utterance, adds one dialog cut by the turn cap with
 backend records every prompt it is sent. Three sha256 digests are pinned:
 the output directory, the DOT file, and the list of (role, content)
 prompts. A second run pins ``star-run`` over the fixture scenarios
-101-103, which covers the scenario -> persona -> prompt path. A refactor
+101-103, which covers the scenario -> persona -> prompt path; its files are
+hashed with the scenario each one carries set back to null. A refactor
 that keeps behaviour keeps all five.
 """
 
@@ -15,10 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import dialogforge.cli as cli
+from dialogforge import read_dialog_file, write_dialog_file
 from dialogforge.cli import main
+from dialogforge.scenarios import load_scenario
 
 OUTPUT_DIR_SHA256 = "d5f5c7c91dda55e36af61d8f48ef50a9a3ee7e8d4768b006a969c1c7e747c322"
 DOT_SHA256 = "2329ca270be09110d0c6a9a48641665ce84462a378597dc4b0bfdeeeb3e3335f"
@@ -138,6 +142,13 @@ def test_golden_star_run(runner, star_root, tmp_path, monkeypatch):
                                   "--spec", str(spec_path), "101", "102", "103"])
     assert result.exit_code == 0, result.output
 
+    # each file carries its scenario; with it nulled the files are the ones
+    # pinned before star-run wrote scenarios
+    for dialog_id in (101, 102, 103):
+        path = tmp_path / "out" / f"star_dialog_{dialog_id}.json"
+        dialog = read_dialog_file(path)
+        assert dialog.scenario == load_scenario(star_root, dialog_id).to_dict()
+        write_dialog_file(replace(dialog, scenario=None), path)
     assert {
         "out": _tree_digest(tmp_path / "out"),
         "prompts": _prompts_digest(prompts),

@@ -246,6 +246,7 @@ class TestInstructionList:
         plan = InstructionListOrchestrator({0: "Greet warmly"})
         agent = make_agent() | plan
         assert plan.instruct(Dialog(), None) == "Greet warmly"
+        agent.respond(None, Dialog())
         assert plan.instruct(dialog_of_length(2), "x") is None
 
     def test_negative_index_rejected(self):
