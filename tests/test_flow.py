@@ -8,11 +8,16 @@ the fixture corpus.
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dialogforge import ConfigError, Dialog, build_flow_graph, cluster, cosine, embed
+from dialogforge import flow
 from dialogforge.flow import (
     EMBED_DIM,
     END_NODE,
@@ -118,6 +123,89 @@ class TestCluster:
         assert model.assignments == (0, 3, 1, 2, 0, 0, 2)
         assert set(model.assignments) == {0, 1, 2, 3}
 
+    def test_peak_memory_does_not_grow_with_k(self):
+        # one n x k x d difference tensor at n=2000, k=32 is 125 MB
+        rng = random.Random(0)
+        words = [f"w{i}" for i in range(300)]
+        texts = [" ".join(rng.choices(words, k=rng.randint(1, 8))) for _ in range(2000)]
+        vectors = np.array([embed(t) for t in texts])
+        tracemalloc.start()
+        try:
+            cluster(vectors, k=32, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+def reference_cluster(vectors, k, seed):
+    """cluster() as it was before row blocks: one n x k x d tensor per round."""
+    points = np.asarray(list(vectors), dtype=np.float64)
+    distinct_index = {}
+    for i, row in enumerate(points):
+        distinct_index.setdefault(row.tobytes(), i)
+    distinct_rows = list(distinct_index.values())
+    rng = random.Random(seed)
+    chosen = rng.sample(range(len(distinct_rows)), k)
+    centroids = points[[distinct_rows[c] for c in chosen]].copy()
+    assignments = np.full(len(points), -1, dtype=np.int64)
+    for _ in range(100):
+        deltas = points[:, None, :] - centroids[None, :, :]
+        distances = np.einsum("nkd,nkd->nk", deltas, deltas)
+        new_assignments = distances.argmin(axis=1)
+        for empty in range(k):
+            if np.any(new_assignments == empty):
+                continue
+            counts = np.bincount(new_assignments, minlength=k)
+            own_distance = distances[np.arange(len(points)), new_assignments]
+            stealable = counts[new_assignments] >= 2
+            if not np.any(stealable):
+                continue
+            candidates = np.where(stealable, own_distance, -np.inf)
+            new_assignments[int(candidates.argmax())] = empty
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+        for c in range(k):
+            members = points[assignments == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+    return tuple(int(a) for a in assignments), centroids
+
+
+TINY_VOCABULARY = ["open", "close", "account", "new", "my", "please"]
+
+
+@st.composite
+def cluster_inputs(draw):
+    """Points with many duplicate rows and exact distance ties: hashed
+    embeddings of texts over a six-word vocabulary, or small-integer points."""
+    n = draw(st.one_of(st.integers(1, 64), st.integers(1000, 1500)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = np.array([embed(" ".join(rng.choices(TINY_VOCABULARY, k=rng.randint(0, 3))))
+                           for _ in range(n)])
+    else:
+        d = draw(st.integers(1, 4))
+        points = np.array([[rng.randint(-3, 3) for _ in range(d)] for _ in range(n)],
+                          dtype=np.float64)
+    distinct = len(np.unique(points, axis=0))
+    k = min(draw(st.one_of(st.integers(1, 4), st.integers(12, 16))), distinct)
+    # None keeps the module's block budget; small budgets give blocks of a few rows
+    budget = draw(st.one_of(st.none(), st.integers(1, 1 << 16)))
+    return points, k, draw(st.integers(0, 1000)), budget
+
+
+@settings(max_examples=40, deadline=None)
+@given(cluster_inputs())
+def test_cluster_in_row_blocks_equals_one_shot_reference(case):
+    points, k, seed, budget = case
+    expected_assignments, expected_centroids = reference_cluster(points, k, seed)
+    with mock.patch.object(flow, "_BLOCK_ELEMENTS", budget or flow._BLOCK_ELEMENTS):
+        model = cluster(points, k, seed=seed)
+    assert model.assignments == expected_assignments
+    assert np.array_equal(model.centroids, expected_centroids)
+
 
 def counts_by_label(graph):
     """Edge counts keyed like ``bigram_transition_counts``: (side, label) pairs."""
@@ -204,6 +292,32 @@ class TestBuildFlowGraph:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             build_flow_graph([], k=2, seed=0)
+
+    def test_three_dimensional_embedder(self):
+        def one_hot(text):
+            phrases = AGENT_PHRASES if text in AGENT_PHRASES else CLIENT_PHRASES
+            return np.eye(3)[phrases.index(text)]
+
+        corpus = build_action_corpus(10, seed=42)
+        graph = build_flow_graph(corpus, k=6, seed=3, embedder=one_hot)
+        assert counts_by_label(graph) == bigram_transition_counts(corpus)
+
+    def test_ragged_embedder_names_turn_and_shapes(self):
+        def ragged(text):
+            return np.ones(2) if text == "short" else np.ones(3)
+
+        d = (Dialog()
+             .append_utterance("A", "one", 0)
+             .append_utterance("B", "two", 1)
+             .append_utterance("A", "short", 2))
+        with pytest.raises(ConfigError,
+                           match=r"shape \(2,\) for turn 2 but \(3,\) for turn 0$"):
+            build_flow_graph([d], k=2, seed=0, embedder=ragged)
+
+    def test_embedder_must_return_a_vector(self):
+        d = Dialog().append_utterance("A", "one", 0)
+        with pytest.raises(ConfigError, match=r"shape \(\) for turn 0"):
+            build_flow_graph([d], k=1, seed=0, embedder=lambda text: np.float64(1.0))
 
 
 class TestValidateFlowGraph:
