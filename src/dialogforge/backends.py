@@ -11,8 +11,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import (
     BackendExhausted,
@@ -21,6 +20,10 @@ from .errors import (
     InvariantViolation,
     WireError,
 )
+
+# HttpBackend._complete imports requests, so only wire runs load it
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "DIALOGFORGE_API_KEY"
 BASE_URL_ENV = "DIALOGFORGE_BASE_URL"
@@ -135,6 +138,8 @@ class HttpBackend(Backend):
         self.timeout = timeout
 
     def _complete(self, messages: list[Message], params: SamplingParams) -> str:
+        import requests
+
         url = f"{self.base_url}/chat/completions"
         body: dict = {
             "model": self.model,

@@ -19,12 +19,15 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .dialog import Dialog, Turn
 from .errors import ConfigError
+
+# the functions that use numpy import it, so commands that embed nothing
+# (print, filter, scripted runs) start without it
+if TYPE_CHECKING:
+    import numpy as np
 
 EMBED_DIM = 256
 
@@ -61,6 +64,8 @@ def embed(text: str) -> np.ndarray:
     into one of 256 buckets, and normalizes the resulting term-frequency
     vector to unit length. Texts with no tokens map to the zero vector.
     """
+    import numpy as np
+
     vector = np.zeros(EMBED_DIM, dtype=np.float64)
     for token in _TOKEN_RE.findall(text.lower()):
         vector[_fnv1a(token) % EMBED_DIM] += 1.0
@@ -110,6 +115,8 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
     Distances are computed a block of rows at a time, so memory grows with
     n*(d + k), not n*k*d; each row's distances are the same as in one pass.
     """
+    import numpy as np
+
     if k <= 0:
         raise ConfigError("k must be positive")
     points = np.asarray(vectors, dtype=np.float64)
@@ -243,6 +250,8 @@ def _transition_graph(
 
 def _embed_turns(turns: Sequence[Turn], embedder: Callable[[str], np.ndarray]) -> np.ndarray:
     """One row per turn in a preallocated matrix whose width is turn 0's."""
+    import numpy as np
+
     first = np.asarray(embedder(turns[0].text))
     if first.ndim != 1:
         raise ConfigError(f"embedder returned shape {first.shape} for turn 0; "

@@ -1,6 +1,7 @@
 """Every module in src/ and tests/ references each name it imports, every
-module-level private name defined in src/ is referenced somewhere in src/, and
-the package exports exactly the names its ``__init__`` imports."""
+module-level private name defined in src/ is referenced somewhere in src/, no
+module in src/ imports numpy or requests at import time, and the package
+exports exactly the names its ``__init__`` imports."""
 
 from __future__ import annotations
 
@@ -57,6 +58,76 @@ def test_scan_flags_only_unreferenced_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# loaded by the functions that use them, so commands that do not stay fast to start
+DEFERRED = ("numpy", "requests")
+
+
+def eager_deferred_imports(source: str) -> list[str]:
+    """Imports of a DEFERRED package that run when the module is imported.
+
+    An import inside a function body runs with the function, and one under
+    ``if TYPE_CHECKING:`` never runs; any other import, class bodies
+    included, runs at import time.
+    """
+    found: list[str] = []
+
+    def deferred(module: str) -> bool:
+        return module.split(".")[0] in DEFERRED
+
+    def scan(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            children = node.orelse
+        elif isinstance(node, ast.Import):
+            found.extend(f"line {node.lineno}: {alias.name}" for alias in node.names
+                         if deferred(alias.name))
+            return
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and deferred(node.module):
+                found.append(f"line {node.lineno}: {node.module}")
+            return
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            scan(child)
+
+    scan(ast.parse(source))
+    return found
+
+
+def test_deferred_scan_flags_only_import_time_imports():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "import numpy.linalg\n"
+        "from requests.exceptions import Timeout\n"
+        "import numbers\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy as np\n"
+        "else:\n"
+        "    import requests\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def embed():\n"
+        "    import numpy as np\n"
+        "class Client:\n"
+        "    import requests\n"
+        "    def post(self):\n"
+        "        import requests\n"
+    )
+    assert eager_deferred_imports(source) == [
+        "line 2: numpy.linalg", "line 3: requests.exceptions", "line 8: requests",
+        "line 10: numpy", "line 16: requests"]
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_import_time_numpy_or_requests(path):
+    assert eager_deferred_imports(path.read_text(encoding="utf-8")) == []
 
 
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:
