@@ -8,11 +8,15 @@ but whether the server honors it depends on the serving stack.
 
 from __future__ import annotations
 
+import functools
+import json
 import os
 import threading
+import urllib.parse
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .dialog import _require
 from .errors import (
     BackendExhausted,
     ConfigError,
@@ -21,9 +25,10 @@ from .errors import (
     WireError,
 )
 
-# HttpBackend._complete imports requests, so only wire runs load it
+# HttpBackend imports http.client, urllib.request and ssl when built, so only wire
+# runs load them
 if TYPE_CHECKING:
-    import requests
+    import ssl
 
 API_KEY_ENV = "DIALOGFORGE_API_KEY"
 BASE_URL_ENV = "DIALOGFORGE_BASE_URL"
@@ -119,8 +124,10 @@ class HttpBackend(Backend):
     The request body always contains exactly {model, messages, temperature,
     max_tokens}, plus {seed} when set. The API key travels as a bearer
     credential and falls back to the DIALOGFORGE_API_KEY environment
-    variable. Transport failures are retried exactly once; HTTP error
-    statuses are not retried.
+    variable. Each attempt opens its own connection. Transport failures,
+    timeouts included, are retried exactly once; HTTP error statuses are
+    not retried. The proxy environment (``http_proxy``, ``https_proxy``,
+    ``all_proxy``, ``no_proxy``) is read once, when the backend is built.
     """
 
     def __init__(
@@ -130,17 +137,40 @@ class HttpBackend(Backend):
         api_key: str | None = None,
         timeout: float = DEFAULT_TIMEOUT,
     ):
-        if not base_url or "://" not in base_url:
-            raise ConfigError(f"base_url must be an absolute URL, got {base_url!r}")
+        import http.client
+        import urllib.request
+
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
+        self.url = f"{self.base_url}/chat/completions"
+        target = _split_url(self.url, ("http", "https"), f"base_url {base_url!r}")
+        https = target.scheme == "https"
+
+        self._headers = {"Content-Type": "application/json", "Connection": "close"}
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
+        self._target = target.path + (f"?{target.query}" if target.query else "")
+        self._tunnel = None
+        address = target.hostname, target.port
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(target.scheme) or proxies.get("all")
+        if proxy and not urllib.request.proxy_bypass(target.netloc):
+            via = _split_url(proxy if "://" in proxy else f"http://{proxy}", ("http",),
+                             f"proxy {proxy!r}")
+            address = via.hostname, via.port or 80
+            if https:  # a CONNECT tunnel through the proxy, then TLS to the endpoint
+                self._tunnel = target.hostname, target.port
+            else:  # the proxy takes the absolute URL
+                self._target = self.url
+        connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        tls = {"context": _tls_context()} if https else {}
+        self._connect = functools.partial(connection, *address, timeout=timeout, **tls)
 
     def _complete(self, messages: list[Message], params: SamplingParams) -> str:
-        import requests
+        import http.client
 
-        url = f"{self.base_url}/chat/completions"
         body: dict = {
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
@@ -149,31 +179,57 @@ class HttpBackend(Backend):
         }
         if params.seed is not None:
             body["seed"] = params.seed
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        payload = json.dumps(body).encode()
 
         for attempt in range(2):
+            connection = self._connect()
+            if self._tunnel:
+                connection.set_tunnel(*self._tunnel)
             try:
-                response = requests.post(url, json=body, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:  # Timeout is a subclass
+                connection.request("POST", self._target, payload, self._headers)
+                response = connection.getresponse()
+                status, data = response.status, response.read()
+            except (OSError, http.client.HTTPException) as exc:  # timeouts are OSErrors
                 if attempt == 1:
-                    raise WireError(f"transport failure talking to {url}: {exc}") from exc
+                    raise WireError(f"transport failure talking to {self.url}: {exc}") from exc
                 continue
-            return self._parse_response(response)
+            finally:
+                connection.close()
+            return _read_reply(status, data)
 
-    def _parse_response(self, response: requests.Response) -> str:
-        if response.status_code != 200:
-            excerpt = response.text[:200]
-            raise WireError(
-                f"HTTP {response.status_code} from backend: {excerpt}",
-                status=response.status_code,
-            )
-        try:
-            data = response.json()
-            content = data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise WireError(f"malformed completion response: {response.text[:200]}") from exc
-        if not isinstance(content, str):
-            raise WireError("completion content is not a string")
-        return content
+
+def _split_url(url: str, schemes: tuple[str, ...], what: str) -> urllib.parse.SplitResult:
+    """``url`` split into its parts; one without a host or a scheme in ``schemes`` raises."""
+    parts = urllib.parse.urlsplit(url)
+    try:
+        parts.port  # a port that is not a number raises here
+    except ValueError as exc:
+        raise ConfigError(f"{what} has an invalid port") from exc
+    if parts.scheme not in schemes or not parts.hostname:
+        raise ConfigError(f"{what} is not an absolute {' or '.join(schemes)} URL")
+    return parts
+
+
+@functools.cache
+def _tls_context() -> ssl.SSLContext:
+    """One context for every https connection: the system trust store, host names checked."""
+    import ssl
+
+    return ssl.create_default_context()
+
+
+def _read_reply(status: int, data: bytes) -> str:
+    """The completion text of a reply with this status and body."""
+    excerpt = data[:200].decode("utf-8", "replace")
+    if status != 200:
+        raise WireError(f"HTTP {status} from backend: {excerpt}", status=status)
+    try:
+        reply = json.loads(data)
+    except ValueError:  # JSON and UTF-8 errors
+        reply = None
+    where = f"malformed completion response: {excerpt}"
+    if not isinstance(reply, dict):
+        raise WireError(where)
+    choices = _require(reply, "choices", list[dict], where, WireError)
+    message = _require(choices[0] if choices else {}, "message", dict, where, WireError)
+    return _require(message, "content", str, where, WireError)

@@ -259,11 +259,12 @@ def _load_run(spec_path: str, output_dir: str | None, seed: int | None,
 
 # dialogs a wire-backend run keeps in flight; scripted dialogs are pure-Python
 # work under the GIL, and running them one at a time keeps the serial prompt order.
-# Each request costs the client ~3 ms of GIL-bound CPU in requests. At 2 workers
-# a run mostly waits on the server and takes as long beside other CPU load; from
-# 3 on the client competes for the cores, and on two cores a run's time moved by
-# 10-25% with the load beside it
-WIRE_WORKERS = 2
+# Each request costs the client ~0.7 ms of GIL-bound CPU in http.client, with a
+# new connection per attempt. On two cores, one busy loop beside a wire batch
+# (10 ms server delay) cost 4 workers 5% of their dialogs per second (22.9 ->
+# 21.7) and 8 workers 16% (36.7 -> 31.0): past 4 the client competes for the
+# cores, and a run's time moves with the load beside it
+WIRE_WORKERS = 4
 
 
 def _run_one(spec: RunSpec, wire: dict[str, str | None],

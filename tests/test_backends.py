@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 import time
@@ -300,3 +301,71 @@ class TestHttpBackend:
     def test_bad_url_rejected(self):
         with pytest.raises(ConfigError):
             HttpBackend("not a url", "m")
+
+    def test_read_timeout_retried_once(self, mock):
+        mock.delay = 1.0
+        # the late answers go to sockets the client has closed
+        mock.server.handle_error = lambda request, client_address: None
+        with pytest.raises(WireError) as excinfo:
+            HttpBackend(mock.url, "m", api_key="k", timeout=0.2).complete(SYSTEM, PARAMS)
+        assert excinfo.value.status is None
+        assert str(excinfo.value).startswith("transport failure talking to ")
+        assert len(mock.requests) == 2
+
+    @pytest.mark.parametrize("body", [
+        b"[1, 2]",
+        b'{"choices": []}',
+        b'{"choices": [{"message": "Hi"}]}',
+        b'{"choices": [{"message": {"content": 7}}]}',
+        b"\xff\xfe not utf-8",
+    ], ids=["list", "no-choice", "message-not-object", "content-not-string", "not-utf-8"])
+    def test_malformed_reply_message(self, mock, body):
+        mock.behave = lambda request: ("raw", body)
+        with pytest.raises(WireError) as excinfo:
+            HttpBackend(mock.url, "m", api_key="k").complete(SYSTEM, PARAMS)
+        assert str(excinfo.value).startswith("malformed completion response: ")
+        assert excinfo.value.status is None
+        assert len(mock.requests) == 1
+
+    @pytest.mark.parametrize("url", ["ftp://127.0.0.1/v1", "http:///v1", "http://127.0.0.1:x/v1"],
+                             ids=["scheme", "no-host", "port"])
+    def test_unusable_url_rejected(self, url):
+        with pytest.raises(ConfigError):
+            HttpBackend(url, "m")
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """The environment without any proxy setting; set them through the monkeypatch."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    return monkeypatch
+
+
+class TestProxies:
+    def test_http_proxy_gets_absolute_url(self, mock, proxy_env):
+        proxy_env.setenv("http_proxy", mock.url.removesuffix("/v1"))
+        assert HttpBackend(mock.url, "m", api_key="k").complete(SYSTEM, PARAMS) == "Hi"
+        assert mock.requests[0]["path"] == f"{mock.url}/chat/completions"
+
+    def test_no_proxy_bypasses_proxy(self, mock, proxy_env):
+        proxy_env.setenv("http_proxy", mock.url.removesuffix("/v1"))
+        proxy_env.setenv("no_proxy", "127.0.0.1")
+        assert HttpBackend(mock.url, "m", api_key="k").complete(SYSTEM, PARAMS) == "Hi"
+        assert mock.requests[0]["path"] == "/v1/chat/completions"
+
+    def test_https_goes_through_connect_tunnel(self, mock, proxy_env):
+        proxy_env.setenv("https_proxy", mock.url.removesuffix("/v1"))
+        backend = HttpBackend(mock.url.replace("http://", "https://"), "m", api_key="k")
+        with pytest.raises(WireError) as excinfo:
+            backend.complete(SYSTEM, PARAMS)
+        # the mock answers the CONNECT of each attempt with 501 and sees no POST
+        assert "Tunnel connection failed: 501" in str(excinfo.value)
+        assert excinfo.value.status is None
+        assert mock.requests == []
+
+    def test_non_http_proxy_rejected(self, mock, proxy_env):
+        proxy_env.setenv("http_proxy", "socks5://127.0.0.1:1080")
+        with pytest.raises(ConfigError):
+            HttpBackend(mock.url, "m")

@@ -1,7 +1,7 @@
 """Every module in src/ and tests/ references each name it imports, every
 module-level private name defined in src/ is referenced somewhere in src/, no
-module in src/ imports numpy or requests at import time, and the package
-exports exactly the names its ``__init__`` imports."""
+module in src/ imports numpy or requests at import time, none imports requests
+at all, and the package exports exactly the names its ``__init__`` imports."""
 
 from __future__ import annotations
 
@@ -128,6 +128,21 @@ def test_deferred_scan_flags_only_import_time_imports():
 @pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_import_time_numpy_or_requests(path):
     assert eager_deferred_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_src_never_imports_requests():
+    found = []
+    for path in SRC_MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [f"{path.name} line {node.lineno}: {module}" for module in modules
+                      if module.split(".")[0] == "requests"]
+    assert found == []
 
 
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:

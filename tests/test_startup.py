@@ -1,6 +1,6 @@
-"""What each command loads: numpy and requests arrive only with the code that
-uses them, and the first import of requests from two pool threads at once
-gives the same files as a serial run.
+"""What each command loads: numpy and the stdlib HTTP client arrive only with
+the code that uses them, requests never does, and the first import of the HTTP
+client from several pool threads at once gives the same files as a serial run.
 
 Every case runs in a fresh interpreter, since the test process has long since
 imported both modules.
@@ -24,7 +24,7 @@ from test_cli import SRC, wire_reply, write_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DIALOG = FIXTURES / "star" / "dialogues" / "101.json"
-HEAVY = ("numpy", "requests")
+HEAVY = ("numpy", "requests", "http.client")
 
 # argv[1] is the report file; argv[2:] are CLI arguments, or none to import
 # only the package
@@ -93,10 +93,10 @@ class TestImportFootprint:
                                    "--out", str(out)) == ["numpy"]
         assert out.read_text().startswith("digraph")
 
-    def test_wire_generate_loads_requests_only(self, tmp_path, mock):
+    def test_wire_generate_loads_http_client_only(self, tmp_path, mock):
         spec = write_spec(tmp_path / "spec.json",
                           backend={"baseUrl": mock.url, "model": "m"}, maxTurns=2)
-        assert heavy_modules_after(tmp_path, "generate", "--spec", str(spec)) == ["requests"]
+        assert heavy_modules_after(tmp_path, "generate", "--spec", str(spec)) == ["http.client"]
         assert len(mock.requests) == 2
 
 
@@ -106,8 +106,8 @@ def test_first_requests_import_from_two_workers_matches_serial_run(runner, mock,
     spec = write_spec(tmp_path / "spec.json",
                       backend={"baseUrl": mock.url, "model": "m"}, maxTurns=6)
     out = tmp_path / "out"
-    # a fresh interpreter at the default WIRE_WORKERS: both pool threads
-    # reach HttpBackend's first `import requests` together
+    # a fresh interpreter at the default WIRE_WORKERS: the pool threads reach
+    # HttpBackend's first `import http.client` and `import urllib.request` together
     child = subprocess.run(
         [sys.executable, "-m", "dialogforge.cli", "batch", "--spec", str(spec), "-n", "6"],
         env=fresh_env(), capture_output=True, text=True, timeout=60)
