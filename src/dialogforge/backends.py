@@ -59,8 +59,8 @@ class SamplingParams:
     max_tokens: int = 512
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ConfigError("temperature must be non-negative")
+        if not 0 <= self.temperature < float("inf"):  # NaN fails too; JSON has neither
+            raise ConfigError("temperature must be a non-negative finite number")
         if self.max_tokens <= 0:
             raise ConfigError("max_tokens must be positive")
 
@@ -144,8 +144,8 @@ class HttpBackend(Backend):
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
-        self.url = f"{self.base_url}/chat/completions"
-        target = _split_url(self.url, ("http", "https"), f"base_url {base_url!r}")
+        self._url = f"{self.base_url}/chat/completions"
+        target = _split_url(self._url, ("http", "https"), f"base_url {base_url!r}")
         https = target.scheme == "https"
 
         self._headers = {"Content-Type": "application/json", "Connection": "close"}
@@ -163,7 +163,7 @@ class HttpBackend(Backend):
             if https:  # a CONNECT tunnel through the proxy, then TLS to the endpoint
                 self._tunnel = target.hostname, target.port
             else:  # the proxy takes the absolute URL
-                self._target = self.url
+                self._target = self._url
         connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
         tls = {"context": _tls_context()} if https else {}
         self._connect = functools.partial(connection, *address, timeout=timeout, **tls)
@@ -191,7 +191,7 @@ class HttpBackend(Backend):
                 status, data = response.status, response.read()
             except (OSError, http.client.HTTPException) as exc:  # timeouts are OSErrors
                 if attempt == 1:
-                    raise WireError(f"transport failure talking to {self.url}: {exc}") from exc
+                    raise WireError(f"transport failure talking to {self._url}: {exc}") from exc
                 continue
             finally:
                 connection.close()

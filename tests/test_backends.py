@@ -48,6 +48,11 @@ class TestSamplingParams:
         with pytest.raises(ConfigError):
             SamplingParams(temperature=-0.1)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_non_finite_temperature_rejected(self, temperature):
+        with pytest.raises(ConfigError):
+            SamplingParams(temperature=temperature)
+
 
 class TestScriptedBackend:
     def test_passthrough(self):
