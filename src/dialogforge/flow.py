@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .dialog import Dialog, Turn
@@ -40,20 +40,20 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
 
-# elements of one row block's (rows, k, d) difference tensor in cluster():
-# 512 KB of float64 whatever n and k are, small enough to stay in a core's
-# L2 cache between the subtraction that writes it and the einsum that reads
-# it (1 << 20 elements ran 20-30% slower on 10k-20k rows)
+# elements of a row block in cluster(), as (rows, k, d) differences or as
+# member rows to sum: 512 KB of float64 whatever n and k are, small enough
+# to stay in a core's L2 cache between the subtraction that writes it and
+# the einsum that reads it (1 << 20 elements ran 20-30% slower on 10k-20k rows)
 _BLOCK_ELEMENTS = 1 << 16
 
 
 @lru_cache(maxsize=1 << 16)
-def _fnv1a(token: str) -> int:
+def _bucket(token: str) -> int:
     value = _FNV_OFFSET
     for byte in token.encode("utf-8"):
         value ^= byte
         value = (value * _FNV_PRIME) & 0xFFFFFFFF
-    return value
+    return value % EMBED_DIM
 
 
 def embed(text: str) -> np.ndarray:
@@ -66,9 +66,8 @@ def embed(text: str) -> np.ndarray:
     """
     import numpy as np
 
-    vector = np.zeros(EMBED_DIM, dtype=np.float64)
-    for token in _TOKEN_RE.findall(text.lower()):
-        vector[_fnv1a(token) % EMBED_DIM] += 1.0
+    buckets = [_bucket(token) for token in _TOKEN_RE.findall(text.lower())]
+    vector = np.bincount(buckets, minlength=EMBED_DIM).astype(np.float64)
     norm = math.sqrt(float(vector @ vector))
     if norm > 0.0:
         vector /= norm
@@ -94,34 +93,69 @@ class ClusterModel:
     seed: int
 
 
-def _first_occurrences(points: np.ndarray) -> list[int]:
-    """Index of the first occurrence of each distinct row, in input order."""
-    first: dict[bytes, int] = {}
+def _first_occurrences(points: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row, in input order.
+
+    Rows are equal when their bytes are (a -0.0 row differs from a 0.0 row). Each is
+    checked against the first row of its 64-bit hash; a dict of row bytes decides
+    if two distinct rows share a hash."""
+    import numpy as np
+
+    hashes = np.fromiter((hash(row.tobytes()) for row in points), np.int64, len(points))
+    _, first, group = np.unique(hashes, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[group] != np.arange(len(points)))
+    step = max(1, _BLOCK_ELEMENTS // max(1, points.shape[1]))
+    blocks = (repeats[start:start + step] for start in range(0, len(repeats), step))
+    if all(points[rows].tobytes() == points[first[group[rows]]].tobytes() for rows in blocks):
+        return np.sort(first)
+    first_of: dict[bytes, int] = {}
     for i, row in enumerate(points):
-        first.setdefault(row.tobytes(), i)
-    return list(first.values())
+        first_of.setdefault(row.tobytes(), i)
+    return np.fromiter(first_of.values(), np.intp)
+
+
+def _mean_of_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``points[rows].mean(axis=0)`` to the bit, copying a block of rows at a time:
+    numpy sums the rows of a matrix two or more columns wide in order, so the sum so
+    far put above the next block continues it. One column, summed pairwise, is one block."""
+    import numpy as np
+
+    d = points.shape[1]
+    step = max(1, _BLOCK_ELEMENTS // d) if d > 1 else len(rows)
+    total = points[rows[0]]
+    for start in range(1, len(rows), step):
+        total = np.add.reduce(np.vstack([total, points[rows[start:start + step]]]), axis=0)
+    return total / len(rows)
 
 
 def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
     """Seeded Lloyd k-means with deterministic tie-breaking.
 
     ``vectors`` is an (n, d) array or a sequence of n vectors of equal
-    length; a float64 array is used as it is, not copied. Initial centroids
-    are drawn without replacement from the distinct input vectors;
+    length, all finite; a float64 array is used as it is, not copied. Initial
+    centroids are drawn without replacement from the distinct input vectors;
     assignment ties break toward the lowest cluster index; iteration stops
     when assignments stabilize or after 100 rounds. An empty cluster is
     repaired by stealing the point farthest from its own centroid.
 
     Distances are computed a block of rows at a time, so memory grows with
-    n*(d + k), not n*k*d; each row's distances are the same as in one pass.
+    n*(d + k), not n*k*d, and only for rows that Hamerly's bounds (SDM 2010)
+    cannot keep in their cluster; the result is that of a full pass, bit for bit.
     """
     import numpy as np
 
     if k <= 0:
         raise ConfigError("k must be positive")
-    points = np.asarray(vectors, dtype=np.float64)
+    try:
+        points = np.asarray(vectors, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cluster() needs numeric vectors of one length: {exc}") from exc
     if points.ndim != 2 or len(points) == 0:
         raise ConfigError("cluster() needs a non-empty list of vectors")
+    # min and max are NaN if any entry is, so max() keeps it
+    magnitude = max(-float(points.min(initial=0.0)), float(points.max(initial=0.0)))
+    if not math.isfinite(magnitude):
+        raise ConfigError("cluster() needs finite vectors; got NaN or infinity")
 
     distinct_rows = _first_occurrences(points)
     if k > len(distinct_rows):
@@ -135,14 +169,25 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
 
     n, d = points.shape
     block = max(1, _BLOCK_ELEMENTS // max(1, k * d))
+    # a row keeps its cluster while its upper bound is below its lower bound by the
+    # slack; 100 rounds at d=256 round a bound by ~1e-13 of the data's radius
+    slack = 1e-7 * (1.0 + 2.0 * math.sqrt(d) * magnitude)
     distances = np.empty((n, k))
+    upper, lower = np.full(n, np.inf), np.zeros(n)
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(100):
-        # squared distances, n x k; argmin ties go to the lowest index
-        for start in range(0, n, block):
-            deltas = points[start:start + block, None, :] - centroids[None, :, :]
-            np.einsum("nkd,nkd->nk", deltas, deltas, out=distances[start:start + block])
-        new_assignments = distances.argmin(axis=1)
+        stale = ~(upper + slack < lower) | (lower == np.inf)  # inf is an overflow
+        new_assignments = assignments.copy()
+        for rows in (np.flatnonzero(stale), np.arange(n)):
+            # squared distances; argmin ties go to the lowest index
+            for start in range(0, len(rows), block):
+                chunk = rows[start:start + block]
+                deltas = points[chunk, None, :] - centroids[None, :, :]
+                distances[chunk] = np.einsum("nkd,nkd->nk", deltas, deltas)
+            new_assignments[rows] = distances[rows].argmin(axis=1)
+            # the repair of an empty cluster reads every row's distance
+            if np.bincount(new_assignments, minlength=k).all():
+                break
 
         for empty in range(k):
             if np.any(new_assignments == empty):
@@ -156,13 +201,22 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
             candidates = np.where(stealable, own_distance, -np.inf)
             new_assignments[int(candidates.argmax())] = empty
 
+        own = new_assignments[rows]
+        upper[rows] = np.sqrt(distances[rows, own])
+        others = np.where(np.arange(k) == own[:, None], np.inf, distances[rows])
+        lower[rows] = np.sqrt(others.min(axis=1))
+
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
+        previous = centroids.copy()
         for c in range(k):
-            members = points[assignments == c]
+            members = np.flatnonzero(assignments == c)
             if len(members):
-                centroids[c] = members.mean(axis=0)
+                centroids[c] = _mean_of_rows(points, members)
+        shifts = np.linalg.norm(centroids - previous, axis=1)
+        upper += shifts[assignments]
+        lower -= shifts.max()
 
     return ClusterModel(
         k=k,
@@ -248,22 +302,27 @@ def _transition_graph(
     return FlowGraph(nodes=tuple(sorted([*nodes, *ends], key=lambda n: n.id)), edges=edges)
 
 
-def _embed_turns(turns: Sequence[Turn], embedder: Callable[[str], np.ndarray]) -> np.ndarray:
-    """One row per turn in a preallocated matrix whose width is turn 0's."""
+def _embed_turns(turns: Sequence[Turn], order: Sequence[int],
+                 embedder: Callable[[str], np.ndarray]) -> np.ndarray:
+    """A matrix, as wide as turn 0's vector, whose row j is turn ``order[j]``'s."""
     import numpy as np
 
+    rows = np.argsort(order)
     first = np.asarray(embedder(turns[0].text))
     if first.ndim != 1:
         raise ConfigError(f"embedder returned shape {first.shape} for turn 0; "
                           "a vector must be 1-D")
     vectors = np.empty((len(turns), len(first)))
-    vectors[0] = first
+    vectors[rows[0]] = first
     for i in range(1, len(turns)):
         vector = np.asarray(embedder(turns[i].text))
         if vector.shape != first.shape:
             raise ConfigError(f"embedder returned shape {vector.shape} for turn {i} "
                               f"but {first.shape} for turn 0")
-        vectors[i] = vector
+        vectors[rows[i]] = vector
+    finite = np.isfinite(vectors).all(axis=1)[rows]
+    if not finite.all():
+        raise ConfigError(f"embedder returned NaN or infinity for turn {finite.argmin()}")
     return vectors
 
 
@@ -293,18 +352,18 @@ def build_flow_graph(
         raise ConfigError(f"k={k} is below the number of speaker sides ({len(sides)})")
     side_ks = [k] if len(sides) == 1 else [math.ceil(k / 2), math.floor(k / 2)]
 
-    vectors = _embed_turns(turns, embedder)
+    # each side's turns, in corpus order, fill one run of the matrix's rows
     members = [[i for i, turn in enumerate(turns) if turn.speaker == side] for side in sides]
+    vectors = _embed_turns(turns, [i for indices in members for i in indices], embedder)
+    side_rows = list(pairwise(accumulate(map(len, members), initial=0)))
 
     node_of = [""] * len(turns)
     nodes: list[FlowNode] = []
-    for side_index, (side, indices) in enumerate(zip(sides, members)):
+    for side_index, (side, indices, (a, b)) in enumerate(zip(sides, members, side_rows)):
         try:
-            model = cluster(vectors[indices], side_ks[side_index],
-                            seed=seed + side_index)
+            model = cluster(vectors[a:b], side_ks[side_index], seed=seed + side_index)
         except ConfigError as exc:
-            distinct = [len({vectors[i].tobytes() for i in side_members})
-                        for side_members in members]
+            distinct = [len(_first_occurrences(vectors[a:b])) for a, b in side_rows]
             largest = distinct[0]
             if len(sides) == 2:  # sides get ceil(k/2) and floor(k/2) clusters
                 largest = min(2 * distinct[0], 2 * distinct[1] + 1)
@@ -314,12 +373,12 @@ def build_flow_graph(
                 f"the largest usable k is {largest}"
             ) from exc
         groups: dict[int, list[int]] = {}
-        for i, cluster_id in zip(indices, model.assignments):
-            node_of[i] = f"s{side_index}c{cluster_id}"
-            groups.setdefault(cluster_id, []).append(i)
+        for j, cluster_id in enumerate(model.assignments):
+            node_of[indices[j]] = f"s{side_index}c{cluster_id}"
+            groups.setdefault(cluster_id, []).append(j)
         for cluster_id, group in sorted(groups.items()):
             nodes.append(FlowNode(id=f"s{side_index}c{cluster_id}", speaker_side=side,
-                                  label=turns[_medoid(group, vectors)].text[:40],
+                                  label=turns[indices[_medoid(group, vectors[a:b])]].text[:40],
                                   size=len(group)))
 
     bounds = list(accumulate((len(dialog.turns) for dialog in dialogs), initial=0))

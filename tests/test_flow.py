@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dialogforge import ConfigError, Dialog, build_flow_graph, cluster, cosine, embed
 from dialogforge import flow
@@ -80,6 +82,39 @@ class TestEmbed:
         assert cosine(u, embed("")) == 0.0
 
 
+def embed_one_add_per_token(text):
+    """embed() as it was before bincount: a numpy scalar += per token."""
+    vector = np.zeros(EMBED_DIM, dtype=np.float64)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        value = 0x811C9DC5
+        for byte in token.encode("utf-8"):
+            value = ((value ^ byte) * 0x01000193) & 0xFFFFFFFF
+        vector[value % EMBED_DIM] += 1.0
+    norm = math.sqrt(float(vector @ vector))
+    if norm > 0.0:
+        vector /= norm
+    return vector
+
+
+# mixed case, digits, punctuation, and characters that lowercase to ASCII
+# letters (the Kelvin sign to "k") or to more than one character ("İ")
+EMBED_ALPHABET = st.sampled_from(list("aAbBzZ09 7.,!?-'\t\n") + ["\u212a", "\u0130", "ß", "é"])
+
+
+EMBED_WORDS = st.one_of(st.text(EMBED_ALPHABET, max_size=12),
+                        st.sampled_from(["", "open", "OPEN", "café"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(EMBED_WORDS, max_size=30).map(" ".join))
+@example("")
+@example("café \u212aelvin \u0130stanbul 42 OPEN open, open!")
+def test_embed_equals_one_add_per_token(text):
+    vector = embed(text)
+    assert vector.dtype == np.float64 and vector.shape == (EMBED_DIM,)
+    assert vector.tobytes() == embed_one_add_per_token(text).tobytes()
+
+
 class TestCluster:
     def test_two_duplicated_groups_become_pure_clusters(self):
         vectors = [embed("open a new account")] * 5 + [embed("close my account")] * 5
@@ -111,6 +146,19 @@ class TestCluster:
         model = cluster(vectors, k=3, seed=5)
         assert all(0 <= a < 3 for a in model.assignments)
         assert np.isfinite(model.centroids).all()
+
+    @pytest.mark.parametrize("vectors", [
+        [[0, 0], [1, 1], [math.nan, 0], [5, 5], [math.inf, 1]],
+        [[0, 0], [1, 1], [-math.inf, 0]],
+        [[0, 0], [1, 1, 1]],
+        [[0, 0], ["a", "b"]],
+        [[0, 0], [object(), 1]],
+    ])
+    def test_bad_vectors_rejected(self, vectors):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError):
+                cluster(vectors, k=2, seed=0)
 
     def test_empty_cluster_repaired(self):
         # with this seed one of the four clusters loses every point to its
@@ -205,6 +253,153 @@ def test_cluster_in_row_blocks_equals_one_shot_reference(case):
         model = cluster(points, k, seed=seed)
     assert model.assignments == expected_assignments
     assert np.array_equal(model.centroids, expected_centroids)
+
+
+def distance_rows(function, *args):
+    """``function(*args)`` and, in call order, the number of rows passed to
+    each ``np.einsum`` (distances) and a None for each ``np.bincount``
+    (which reference_cluster calls only to repair an empty cluster)."""
+    calls = []
+    real_einsum, real_bincount = np.einsum, np.bincount
+
+    def einsum(subscripts, *operands, **kwargs):
+        calls.append(len(operands[0]))
+        return real_einsum(subscripts, *operands, **kwargs)
+
+    def bincount(*args, **kwargs):
+        calls.append(None)
+        return real_bincount(*args, **kwargs)
+
+    with mock.patch("numpy.einsum", einsum), mock.patch("numpy.bincount", bincount):
+        return function(*args), calls
+
+
+def assert_equals_reference(points, k, seed):
+    expected_assignments, expected_centroids = reference_cluster(points, k, seed)
+    model = cluster(points, k, seed=seed)
+    assert model.assignments == expected_assignments
+    assert model.centroids.tobytes() == expected_centroids.tobytes()
+
+
+# each reaches an empty-cluster repair in a round after the first
+LATE_REPAIRS = [
+    ([[7.0, 7.8], [0.3, 9.5], [6.0, 9.9], [6.9, 7.3], [1.5, 7.3], [4.7, 4.4], [6.2, 7.7],
+      [6.0, 3.0], [5.2, 4.9], [4.5, 3.7]], 5, 763),
+    ([[7.1, 5.3], [6.2, 6.3], [8.2, 4.8], [3.3, 7.6], [3.8, 2.2], [4.5, 6.7], [2.8, 3.9],
+      [1.6, 0.4], [7.3, 5.7]], 5, 762),
+    ([[9.0, 2.8], [9.3, 3.4], [1.3, 7.2], [8.3, 0.3], [10.0, 9.7], [2.4, 4.4]], 4, 888),
+    ([[5.2, 5.2], [7.4, 1.2], [0.7, 3.0], [6.6, 5.1], [5.2, 3.7], [1.0, 1.1], [5.4, 0.3]], 4, 224),
+    ([[6.4, 1.9], [8.2, 6.9], [3.2, 5.2], [8.6, 7.0], [9.1, 6.0], [1.0, 6.7], [0.2, 8.7],
+      [9.3, 4.6]], 3, 922),
+    # its repair steals a row whose distances the bounds would have skipped
+    ([[4.5, 0.1], [7.9, 3.1], [7.0, 4.8], [9.6, 0.8], [0.1, 8.8], [6.3, 9.4], [6.5, 5.2],
+      [5.5, 8.8], [9.4, 3.6], [7.3, 1.6], [2.5, 9.1], [2.8, 9.6], [7.9, 5.8], [6.1, 9.0],
+      [6.9, 9.2], [5.6, 2.8], [0.7, 8.6]], 4, 86),
+]
+
+
+@pytest.mark.parametrize("points, k, seed", LATE_REPAIRS)
+def test_late_repair_examples_reach_a_repair_after_round_one(points, k, seed):
+    # reference_cluster computes its distances once a round
+    _, calls = distance_rows(reference_cluster, np.array(points), k, seed)
+    repairs = [i for i, call in enumerate(calls) if call is None]
+    assert any(sum(c is not None for c in calls[:i]) >= 2 for i in repairs)
+
+
+@st.composite
+def decimal_points(draw):
+    """Up to 12 points of one or two decimal coordinates, often exactly
+    equidistant from two centroids, with k up to 5."""
+    d = draw(st.integers(1, 2))
+    scale = draw(st.sampled_from([1, 3, 10]))
+    rows = draw(st.lists(st.lists(st.integers(-30, 30), min_size=d, max_size=d),
+                         min_size=2, max_size=12))
+    points = np.array(rows, dtype=np.float64) / scale
+    k = draw(st.integers(1, min(5, len(np.unique(points, axis=0)))))
+    return points, k, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(decimal_points())
+@example((np.array(LATE_REPAIRS[0][0]), *LATE_REPAIRS[0][1:]))
+@example((np.array(LATE_REPAIRS[2][0]), *LATE_REPAIRS[2][1:]))
+@example((np.array(LATE_REPAIRS[4][0]), *LATE_REPAIRS[4][1:]))
+@example((np.array(LATE_REPAIRS[5][0]), *LATE_REPAIRS[5][1:]))
+def test_pruned_rounds_equal_reference_through_late_repairs(case):
+    assert_equals_reference(*case)
+
+
+@st.composite
+def symmetric_points(draw):
+    """1-D points symmetric about 0, so 0 and many other points are exactly
+    equidistant from two centroids, with k up to 3."""
+    values = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=8))
+    points = np.array([[v] for v in values + [-v for v in values]], dtype=np.float64) / 3
+    k = draw(st.integers(1, min(3, len(np.unique(points)))))
+    return points, k, draw(st.integers(0, 1000))
+
+
+def column(*values):
+    return np.array([[v] for v in values])
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_points())
+# in a later round each of these has a point exactly between two centroids
+# whose bounds, with no margin for rounding, would keep it in its cluster
+@example((column(-1.9, 0.3, 0.8, -1.4, 0.7, -1.1, -0.3, -1.3), 2, 5))
+@example((column(-0.9, 0.6, -1.3, 0.9, 1.0, -0.6, 0.3, -0.2, 0.6), 2, 18))
+@example((column(5 / 3, -7 / 3, -11 / 3, -20 / 3, 4.0, -4 / 3), 2, 12))
+def test_pruned_rounds_equal_reference_on_exact_ties(case):
+    assert_equals_reference(*case)
+
+
+@st.composite
+def blobs(draw):
+    """1,500 to 3,000 points around a few well-separated centres."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d, centres = draw(st.integers(2, 8)), draw(st.integers(2, 6))
+    n = draw(st.integers(1500, 3000))
+    points = (rng.normal(size=(centres, d)) * 10)[rng.integers(0, centres, n)]
+    return points + rng.normal(size=(n, d)), draw(st.integers(2, 8)), draw(st.integers(0, 1000))
+
+
+@settings(max_examples=10, deadline=None)
+@given(blobs())
+def test_pruned_rounds_skip_rows_and_equal_reference(case):
+    points, k, seed = case
+    (expected_assignments, expected_centroids), full = distance_rows(
+        reference_cluster, points, k, seed)
+    model, pruned = distance_rows(cluster, points, k, seed)
+    assert model.assignments == expected_assignments
+    assert model.centroids.tobytes() == expected_centroids.tobytes()
+    # the round that finds no change computes only rows the bounds left open
+    assert sum(filter(None, pruned)) < sum(filter(None, full))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 300), st.integers(1, 64))
+def test_mean_of_rows_equals_numpy_mean(seed, d, n, budget):
+    # the member rows are summed a few at a time (budget // d rows), in the
+    # order numpy's mean sums them; one column numpy sums pairwise
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
+    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    with mock.patch.object(flow, "_BLOCK_ELEMENTS", budget):
+        mean = flow._mean_of_rows(points, rows)
+    assert mean.tobytes() == points[rows].mean(axis=0).tobytes()
+
+
+def test_first_occurrences_keep_order_and_sign_of_zero():
+    points = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-0.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
+    assert list(flow._first_occurrences(points)) == [0, 1, 3, 5]
+
+
+def test_first_occurrences_fall_back_on_a_hash_collision():
+    points = np.array([[3.0], [1.0], [3.0], [-0.0], [0.0], [1.0]])
+    # every row hashes alike, so only the byte comparison can tell them apart
+    with mock.patch.object(flow, "hash", lambda data: 0, create=True):
+        assert list(flow._first_occurrences(points)) == [0, 1, 3, 4]
 
 
 def counts_by_label(graph):
@@ -313,6 +508,18 @@ class TestBuildFlowGraph:
         with pytest.raises(ConfigError,
                            match=r"shape \(2,\) for turn 2 but \(3,\) for turn 0$"):
             build_flow_graph([d], k=2, seed=0, embedder=ragged)
+
+    def test_non_finite_embedding_names_turn(self):
+        d = (Dialog()
+             .append_utterance("A", "one", 0)
+             .append_utterance("B", "two", 1)
+             .append_utterance("A", "bad", 2))
+
+        def embedder(text):
+            return np.array([math.nan, 1.0]) if text == "bad" else np.ones(2)
+
+        with pytest.raises(ConfigError, match=r"NaN or infinity for turn 2$"):
+            build_flow_graph([d], k=2, seed=0, embedder=embedder)
 
     def test_embedder_must_return_a_vector(self):
         d = Dialog().append_utterance("A", "one", 0)
