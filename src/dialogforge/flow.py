@@ -56,6 +56,32 @@ def _bucket(token: str) -> int:
     return value % EMBED_DIM
 
 
+def _embed_rows(texts: Sequence[str], out: np.ndarray, rows: Sequence[int]) -> None:
+    """Write the embedding of ``texts[i]`` into row ``rows[i]`` of ``out``.
+
+    A block of texts at a time: one ``np.bincount`` counts the tokens of the
+    whole block, each text's counts kept to its own row, and each row is
+    divided by the norm of its integer counts, whose sum of squares is
+    exact. Rows of texts without tokens are zero.
+    """
+    import numpy as np
+
+    step = max(1, _BLOCK_ELEMENTS // EMBED_DIM)
+    for start in range(0, len(texts), step):
+        lengths: list[int] = []
+        buckets: list[int] = []
+        for text in texts[start:start + step]:
+            tokens = _TOKEN_RE.findall(text.lower())
+            lengths.append(len(tokens))
+            buckets.extend(map(_bucket, tokens))
+        offsets = np.arange(0, len(lengths) * EMBED_DIM, EMBED_DIM).repeat(lengths)
+        counts = np.bincount(offsets + np.array(buckets, dtype=np.intp),
+                             minlength=len(lengths) * EMBED_DIM).reshape(-1, EMBED_DIM)
+        # a row with a token has a norm of at least 1; a row without one is 0 / 1
+        norms = np.sqrt(np.maximum(np.add.reduce(counts * counts, axis=1, keepdims=True), 1))
+        out[rows[start:start + step]] = counts / norms
+
+
 def embed(text: str) -> np.ndarray:
     """Hashed term-frequency embedding: 256 buckets, L2-normalized.
 
@@ -66,12 +92,9 @@ def embed(text: str) -> np.ndarray:
     """
     import numpy as np
 
-    buckets = [_bucket(token) for token in _TOKEN_RE.findall(text.lower())]
-    vector = np.bincount(buckets, minlength=EMBED_DIM).astype(np.float64)
-    norm = math.sqrt(float(vector @ vector))
-    if norm > 0.0:
-        vector /= norm
-    return vector
+    vector = np.empty((1, EMBED_DIM))
+    _embed_rows([text], vector, [0])
+    return vector[0]
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -115,17 +138,79 @@ def _first_occurrences(points: np.ndarray) -> np.ndarray:
 
 
 def _mean_of_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``points[rows].mean(axis=0)`` to the bit, copying a block of rows at a time:
-    numpy sums the rows of a matrix two or more columns wide in order, so the sum so
-    far put above the next block continues it. One column, summed pairwise, is one block."""
+    """``points[rows].mean(axis=0)`` to the bit, gathering a block of rows at a time
+    into a buffer below the sum so far: numpy sums the rows of a matrix two or more
+    columns wide in order, so the sum so far put above the next block continues it.
+    One column, summed pairwise, is one block."""
     import numpy as np
 
     d = points.shape[1]
     step = max(1, _BLOCK_ELEMENTS // d) if d > 1 else len(rows)
-    total = points[rows[0]]
+    buffer = np.empty((min(step, len(rows) - 1) + 1, d))
+    buffer[0] = points[rows[0]]
     for start in range(1, len(rows), step):
-        total = np.add.reduce(np.vstack([total, points[rows[start:start + step]]]), axis=0)
-    return total / len(rows)
+        block = rows[start:start + step]
+        # the rows are valid indices; "clip" lets take() write to the buffer unbuffered
+        np.take(points, block, axis=0, out=buffer[1:len(block) + 1], mode="clip")
+        buffer[0] = np.add.reduce(buffer[:len(block) + 1], axis=0)
+    return buffer[0] / len(rows)
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff of float64.
+
+    A sum of n products computed in float64, in any order and with or without
+    fused multiply-adds, is within gamma_n times the sum of the products'
+    magnitudes of its exact value (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., section 3.1)."""
+    nu = n * 2.0**-53
+    return nu / (1.0 - nu)
+
+
+def _recheck_tolerance(d: int, row_sq: float, centroid_sq: float) -> float:
+    """The gap between a row's two smallest product-form squared distances
+    above which their argmin is that of the exact form, given the largest
+    computed squared norm of a row and of a centroid.
+
+    With R and C bounds on the exact row and centroid norms, the product
+    form sq - 2 x.c + csq and the exact form sum((x - c)**2) are each within
+    gamma_{d+2} (R + C)**2 of the exact squared distance: a d-term dot
+    product, and two further roundings. If the smallest product-form value
+    is below every other by more than twice the two errors combined, it is
+    the unique smallest exact-form value too. Below, the computed norms are
+    raised by 1 / (1 - gamma) to bound the exact ones, and the result is
+    doubled to cover its own rounding, the rounding of the gap and underflow
+    (at most the smallest normal float, 2**-1022, per operation). An
+    overflow makes it infinite or NaN, so every row is rechecked.
+    """
+    gamma = _gamma(d + 2)
+    reach = math.sqrt(row_sq / (1.0 - gamma)) + math.sqrt(centroid_sq / (1.0 - gamma))
+    return 2.0 * (4.0 * gamma * reach * reach + 4.0 * (d + 4) * 2.0**-1022)
+
+
+def _products(points: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """``points @ others.T``, a block of rows at a time: one product over
+    every row lets a threaded BLAS allocate buffers that raise the peak RSS
+    of ``flow`` by a fifth."""
+    import numpy as np
+
+    out = np.empty((len(points), len(others)))
+    step = max(1, _BLOCK_ELEMENTS // max(1, points.shape[1]))
+    for start in range(0, len(points), step):
+        np.matmul(points[start:start + step], others.T, out=out[start:start + step])
+    return out
+
+
+def _squared_norms(points: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, summing a block of squared rows at a time."""
+    import numpy as np
+
+    step = max(1, _BLOCK_ELEMENTS // max(1, points.shape[1]))
+    squares = np.empty(len(points))
+    for start in range(0, len(points), step):
+        block = points[start:start + step]
+        np.add.reduce(block * block, axis=1, out=squares[start:start + step])
+    return squares
 
 
 def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
@@ -138,9 +223,14 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
     when assignments stabilize or after 100 rounds. An empty cluster is
     repaired by stealing the point farthest from its own centroid.
 
-    Distances are computed a block of rows at a time, so memory grows with
-    n*(d + k), not n*k*d, and only for rows that Hamerly's bounds (SDM 2010)
-    cannot keep in their cluster; the result is that of a full pass, bit for bit.
+    Each round computes every squared distance as ||x||^2 - 2 x.c + ||c||^2,
+    with one matrix product a block of rows at a time. A row keeps the
+    argmin of those only when its two smallest are further apart than their
+    rounding error can explain (``_recheck_tolerance``); every other row, and
+    every row of a round that repairs an empty cluster, gets the sums of
+    squared differences, a block of rows at a time. The assignments and
+    centroids are those of sums of squared differences for every row, bit
+    for bit, and memory grows with n*(d + k), not n*k*d.
     """
     import numpy as np
 
@@ -169,26 +259,37 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
 
     n, d = points.shape
     block = max(1, _BLOCK_ELEMENTS // max(1, k * d))
-    # a row keeps its cluster while its upper bound is below its lower bound by the
-    # slack; 100 rounds at d=256 round a bound by ~1e-13 of the data's radius
-    slack = 1e-7 * (1.0 + 2.0 * math.sqrt(d) * magnitude)
-    distances = np.empty((n, k))
-    upper, lower = np.full(n, np.inf), np.zeros(n)
+    row_sq = _squared_norms(points)
+    largest_row_sq = float(row_sq.max())
+
+    def exact_argmin(distances: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # rewrites the rows' squared distances as sums of squared differences;
+        # ties go to the lowest index
+        for start in range(0, len(rows), block):
+            chunk = rows[start:start + block]
+            deltas = points[chunk, None, :] - centroids[None, :, :]
+            distances[chunk] = np.einsum("nkd,nkd->nk", deltas, deltas)
+        return distances[rows].argmin(axis=1)
+
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(100):
-        stale = ~(upper + slack < lower) | (lower == np.inf)  # inf is an overflow
-        new_assignments = assignments.copy()
-        for rows in (np.flatnonzero(stale), np.arange(n)):
-            # squared distances; argmin ties go to the lowest index
-            for start in range(0, len(rows), block):
-                chunk = rows[start:start + block]
-                deltas = points[chunk, None, :] - centroids[None, :, :]
-                distances[chunk] = np.einsum("nkd,nkd->nk", deltas, deltas)
-            new_assignments[rows] = distances[rows].argmin(axis=1)
-            # the repair of an empty cluster reads every row's distance
-            if np.bincount(new_assignments, minlength=k).all():
-                break
+        centroid_sq = np.add.reduce(centroids * centroids, axis=1)
+        distances = _products(points, centroids)
+        distances *= -2.0
+        distances += row_sq[:, None]
+        distances += centroid_sq
+        new_assignments = distances.argmin(axis=1)
+        if k > 1:
+            nearest = np.partition(distances, 1, axis=1)
+            gap = nearest[:, 1] - nearest[:, 0]
+            tolerance = _recheck_tolerance(d, largest_row_sq, float(centroid_sq.max()))
+            # so is a NaN gap, and a row with an infinite or NaN product-form value
+            unsure = np.flatnonzero(~(gap > tolerance) | ~np.isfinite(distances.sum(axis=1)))
+            new_assignments[unsure] = exact_argmin(distances, unsure)
 
+        if not np.bincount(new_assignments, minlength=k).all():
+            # the repair reads every row's distance
+            new_assignments = exact_argmin(distances, np.arange(n))
         for empty in range(k):
             if np.any(new_assignments == empty):
                 continue
@@ -201,22 +302,13 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
             candidates = np.where(stealable, own_distance, -np.inf)
             new_assignments[int(candidates.argmax())] = empty
 
-        own = new_assignments[rows]
-        upper[rows] = np.sqrt(distances[rows, own])
-        others = np.where(np.arange(k) == own[:, None], np.inf, distances[rows])
-        lower[rows] = np.sqrt(others.min(axis=1))
-
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-        previous = centroids.copy()
         for c in range(k):
             members = np.flatnonzero(assignments == c)
             if len(members):
                 centroids[c] = _mean_of_rows(points, members)
-        shifts = np.linalg.norm(centroids - previous, axis=1)
-        upper += shifts[assignments]
-        lower -= shifts.max()
 
     return ClusterModel(
         k=k,
@@ -273,10 +365,32 @@ def validate_flow_graph(graph: FlowGraph) -> None:
             raise ConfigError(f"outgoing probabilities of {source} sum to {total}")
 
 
-def _medoid(indices: list[int], vectors: np.ndarray) -> int:
-    """Member index with maximal cosine to the cluster mean (ties: first)."""
-    mean_vector = vectors[indices].mean(axis=0)
-    return max(indices, key=lambda i: cosine(vectors[i], mean_vector))
+def _medoid(indices: list[int], vectors: np.ndarray, mean_vector: np.ndarray,
+            dots: np.ndarray, squared_norms: np.ndarray) -> int:
+    """Member index with maximal ``cosine`` to the cluster mean (ties: first).
+
+    ``dots`` and ``squared_norms`` hold each member's product with the mean
+    and its squared norm, computed over many rows at once. The cosine they
+    give is within rounding of the member's ``cosine``, so only the members
+    that could be the best by it are scored with it. A member or mean whose
+    norm is outside [1e-140, 1e140], where underflow or overflow could break
+    that bound, is always scored; so is every member of a zero mean.
+    """
+    import numpy as np
+
+    norms = np.sqrt(squared_norms)
+    mean_norm = math.sqrt(float(mean_vector @ mean_vector))
+    # each cosine computed either way is within 4 gamma_{d+4} of the exact one
+    slack = 8.0 * _gamma(len(mean_vector) + 4)
+    scale = norms * mean_norm
+    scores = np.divide(dots, scale, out=np.zeros(len(dots)), where=scale > 0.0)
+    bounded = (norms == 0.0) | ((norms >= 1e-140) & (norms <= 1e140))
+    if not 1e-140 <= mean_norm <= 1e140:
+        bounded[:] = False
+    best = float(scores[bounded].max(initial=-np.inf))
+    candidates = np.flatnonzero(~bounded | (scores >= best - 2.0 * slack))
+    return max((indices[i] for i in candidates),
+               key=lambda i: cosine(vectors[i], mean_vector))
 
 
 def _transition_graph(
@@ -308,6 +422,10 @@ def _embed_turns(turns: Sequence[Turn], order: Sequence[int],
     import numpy as np
 
     rows = np.argsort(order)
+    if embedder is embed:
+        vectors = np.empty((len(turns), EMBED_DIM))
+        _embed_rows([turn.text for turn in turns], vectors, rows)
+        return vectors
     first = np.asarray(embedder(turns[0].text))
     if first.ndim != 1:
         raise ConfigError(f"embedder returned shape {first.shape} for turn 0; "
@@ -376,10 +494,15 @@ def build_flow_graph(
         for j, cluster_id in enumerate(model.assignments):
             node_of[indices[j]] = f"s{side_index}c{cluster_id}"
             groups.setdefault(cluster_id, []).append(j)
+        # each final centroid is its members' mean, bit for bit
+        side_vectors = vectors[a:b]
+        dots = _products(side_vectors, model.centroids)
+        squared_norms = _squared_norms(side_vectors)
         for cluster_id, group in sorted(groups.items()):
+            medoid = _medoid(group, side_vectors, model.centroids[cluster_id],
+                             dots[group, cluster_id], squared_norms[group])
             nodes.append(FlowNode(id=f"s{side_index}c{cluster_id}", speaker_side=side,
-                                  label=turns[indices[_medoid(group, vectors[a:b])]].text[:40],
-                                  size=len(group)))
+                                  label=turns[indices[medoid]].text[:40], size=len(group)))
 
     bounds = list(accumulate((len(dialog.turns) for dialog in dialogs), initial=0))
     paths = [[START_NODE, *node_of[a:b], END_NODE] for a, b in zip(bounds, bounds[1:])]

@@ -115,6 +115,24 @@ def test_embed_equals_one_add_per_token(text):
     assert vector.tobytes() == embed_one_add_per_token(text).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(EMBED_WORDS, max_size=6).map(" ".join), min_size=1, max_size=24),
+       st.integers(1, 3 * EMBED_DIM), st.randoms(use_true_random=False))
+# adjacent texts that end and start with token characters, which one
+# tokenization of the block as a whole would join into one token
+@example(["open", "account", "\u212a", "\u0130", "", "42"], EMBED_DIM, random.Random(0))
+@example(["café\u212a", "\u0130stanbul", "!!!", "ok ok"], 1, random.Random(1))
+def test_embedding_rows_equal_embed_of_each_text(texts, budget, rng):
+    # rows are written in a permuted order, a few texts to a block
+    rows = list(range(len(texts)))
+    rng.shuffle(rows)
+    matrix = np.full((len(texts), EMBED_DIM), np.nan)
+    with mock.patch.object(flow, "_BLOCK_ELEMENTS", budget):
+        flow._embed_rows(texts, matrix, np.array(rows))
+    for text, row in zip(texts, rows):
+        assert matrix[row].tobytes() == embed(text).tobytes()
+
+
 class TestCluster:
     def test_two_duplicated_groups_become_pure_clusters(self):
         vectors = [embed("open a new account")] * 5 + [embed("close my account")] * 5
@@ -377,6 +395,88 @@ def test_pruned_rounds_skip_rows_and_equal_reference(case):
     assert sum(filter(None, pruned)) < sum(filter(None, full))
 
 
+@settings(max_examples=40, deadline=None)
+@given(cluster_inputs())
+def test_cluster_with_every_row_rechecked_equals_reference(case):
+    # an infinite tolerance sends every row of every round to the exact form
+    points, k, seed, _ = case
+    (expected_assignments, expected_centroids), full = distance_rows(
+        reference_cluster, points, k, seed)
+    with mock.patch.object(flow, "_recheck_tolerance", lambda *bounds: math.inf):
+        model, exact = distance_rows(cluster, points, k, seed)
+    assert model.assignments == expected_assignments
+    assert model.centroids.tobytes() == expected_centroids.tobytes()
+    if k > 1:  # one cluster needs no distances
+        assert sum(filter(None, exact)) >= sum(filter(None, full))
+
+
+@st.composite
+def huge_points(draw):
+    """Finite points of magnitude 1e154 to 1e300, whose squared norms and
+    products overflow to infinity, and whose sums can overflow to NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(2, 30)), draw(st.integers(1, 4))
+    points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(154, 301, size=(n, d))
+    if draw(st.booleans()):  # duplicate rows and rows mirrored through the origin
+        points = np.concatenate([points, points[: n // 2], -points[: n // 3]])
+    k = draw(st.integers(1, min(5, len(np.unique(points, axis=0)))))
+    return points, k, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(huge_points())
+def test_cluster_equals_reference_where_the_product_form_overflows(case):
+    points, k, seed = case
+    with np.errstate(all="ignore"):
+        expected_assignments, expected_centroids = reference_cluster(points, k, seed)
+        model = cluster(points, k, seed=seed)
+    assert model.assignments == expected_assignments
+    np.testing.assert_array_equal(model.centroids, expected_centroids)
+
+
+@pytest.mark.parametrize("points", [
+    np.array([[1.0, 2.0], [1.0, 2.0], [-3.0, 0.5]]),
+    np.array([[0.0], [-0.0], [5.0]]),
+    np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, 1e300]]),
+    np.array([embed(t) for t in AGENT_PHRASES + CLIENT_PHRASES + [""]]),
+])
+def test_cluster_at_k_one_equals_reference(points):
+    with np.errstate(all="ignore"):
+        expected_assignments, expected_centroids = reference_cluster(points, 1, 3)
+        model = cluster(points, 1, seed=3)
+    assert model.assignments == expected_assignments == (0,) * len(points)
+    np.testing.assert_array_equal(model.centroids, expected_centroids)
+
+
+@st.composite
+def inexact_points(draw):
+    """Up to 18 points in tenths, divided by 7 or mirrored through a point:
+    distances the two forms round differently, rows equidistant from their
+    centroid, and k up to 6, which often empties a cluster."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(5, 12)), draw(st.integers(1, 2))
+    points = np.round(rng.uniform(0, 10, size=(n, d)), 1)
+    shape = draw(st.sampled_from(["tenths", "mirrored", "sevenths"]))
+    if shape == "mirrored":
+        points = np.concatenate([points, 2 * np.round(rng.uniform(0, 10, size=d), 1) - points[: n // 2]])
+    elif shape == "sevenths":
+        points = points / 7.0
+    k = draw(st.integers(2, min(6, len(np.unique(points, axis=0)))))
+    return points, k, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inexact_points())
+# the repair of each steals the farthest row, which only the exact form finds
+@example((np.array([[4.9, 8.8], [9.4, 2.5], [1.5, 0.9], [1.6, 2.2], [8.5, 2.5],
+                    [14.299999999999999, 2.5999999999999996], [9.799999999999999, 8.9]]), 3, 242))
+@example((np.array([[1.4], [4.9], [5.8], [9.6], [0.8], [0.4], [9.8], [0.3]]) / 7.0, 4, 510))
+@example((np.array([[1.2, 0.1], [5.8, 4.3], [8.7, 3.1], [5.7, 5.2], [2.7, 1.9], [1.9, 6.1],
+                    [9.0, 3.1], [9.6, 0.7]]) / 7.0, 6, 471))
+def test_repairs_read_exact_distances(case):
+    assert_equals_reference(*case)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 300), st.integers(1, 64))
 def test_mean_of_rows_equals_numpy_mean(seed, d, n, budget):
@@ -400,6 +500,102 @@ def test_first_occurrences_fall_back_on_a_hash_collision():
     # every row hashes alike, so only the byte comparison can tell them apart
     with mock.patch.object(flow, "hash", lambda data: 0, create=True):
         assert list(flow._first_occurrences(points)) == [0, 1, 3, 4]
+
+
+def medoid_labels_before(dialogs, k, seed, embedder=embed):
+    """Node id -> label as build_flow_graph gave them before its medoids came
+    from the centroids: the member with the largest ``cosine`` to
+    ``vectors[indices].mean(axis=0)``, the first on ties."""
+    turns = [turn for dialog in dialogs for turn in dialog.turns]
+    sides = list(dict.fromkeys(turn.speaker for turn in turns))
+    side_ks = [k] if len(sides) == 1 else [math.ceil(k / 2), k // 2]
+    labels, zero_means = {}, 0
+    for side_index, (side, side_k) in enumerate(zip(sides, side_ks)):
+        texts = [turn.text for turn in turns if turn.speaker == side]
+        vectors = np.array([embedder(text) for text in texts], dtype=np.float64)
+        model = cluster(vectors, side_k, seed=seed + side_index)
+        for cluster_id in set(model.assignments):
+            indices = [j for j, a in enumerate(model.assignments) if a == cluster_id]
+            mean_vector = vectors[indices].mean(axis=0)
+            zero_means += not mean_vector.any()
+            best = max(indices, key=lambda i: cosine(vectors[i], mean_vector))
+            labels[f"s{side_index}c{cluster_id}"] = texts[best][:40]
+    return labels, zero_means
+
+
+def labels_of(graph):
+    return {n.id: n.label for n in graph.nodes if n.id not in (START_NODE, END_NODE)}
+
+
+# texts with equal embeddings but different labels (word order, case,
+# punctuation), and texts without tokens, whose embedding is zero
+TIED_TEXTS = ["open account", "account open", "Open Account!", "close my account",
+              "my account, close", "account", "!!!", "", "?", "new account please",
+              "please account new", "open open account"]
+
+
+def corpus_of(turn_texts, per_dialog):
+    dialogs = []
+    for start in range(0, len(turn_texts), per_dialog):
+        dialog = Dialog(id=len(dialogs))
+        for t, text in enumerate(turn_texts[start:start + per_dialog]):
+            dialog = dialog.append_utterance("AB"[t % 2], text, t)
+        dialogs.append(dialog)
+    return dialogs
+
+
+def largest_k(dialogs):
+    turns = [turn for dialog in dialogs for turn in dialog.turns]
+    distinct = [len({embed(t.text).tobytes() for t in turns if t.speaker == side})
+                for side in dict.fromkeys(t.speaker for t in turns)]
+    return distinct[0] if len(distinct) == 1 else min(2 * distinct[0], 2 * distinct[1] + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(TIED_TEXTS), min_size=1, max_size=60), st.integers(1, 7),
+       st.integers(0, 2**16), st.data())
+def test_medoid_labels_equal_those_of_the_mean_and_cosine(texts, per_dialog, seed, data):
+    dialogs = corpus_of(texts, per_dialog)
+    sides = len({t.speaker for d in dialogs for t in d.turns})
+    k = data.draw(st.integers(sides, largest_k(dialogs)))
+    assert labels_of(build_flow_graph(dialogs, k=k, seed=seed)) == \
+        medoid_labels_before(dialogs, k, seed)[0]
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0, 1e-200, 1e200])
+def test_medoid_labels_with_a_zero_mean_cluster_and_scaled_vectors(scale):
+    # one cluster per distinct vector: every member of a cluster ties, and the
+    # texts without tokens form a cluster whose mean is zero; norms beyond
+    # 1e140 either way are scored with cosine() alone
+    rng = random.Random(5)
+    dialogs = corpus_of([rng.choice(TIED_TEXTS) for _ in range(120)], 6)
+    k = largest_k(dialogs)
+
+    def scaled(text):
+        return embed(text) * scale
+
+    with np.errstate(all="ignore"):
+        expected, zero_means = medoid_labels_before(dialogs, k, 0, scaled)
+        assert zero_means >= 1
+        assert labels_of(build_flow_graph(dialogs, k=k, seed=0, embedder=scaled)) == expected
+        for smaller_k in (2, 5):
+            expected = medoid_labels_before(dialogs, smaller_k, 0, scaled)[0]
+            graph = build_flow_graph(dialogs, k=smaller_k, seed=0, embedder=scaled)
+            assert labels_of(graph) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.integers(1, 8), st.integers(-16, -12))
+def test_medoid_labels_among_nearly_parallel_vectors(seed, n, d, exponent):
+    # cosines to the mean that differ in their last bits, where a product
+    # over the side and cosine() can rank two members differently
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=d)
+    table = {f"t{i}": base + 10.0**exponent * rng.integers(-2, 3, size=d) * np.abs(base)
+             for i in range(n)}
+    dialogs = corpus_of(list(table), 1)
+    graph = build_flow_graph(dialogs, k=1, seed=0, embedder=table.__getitem__)
+    assert labels_of(graph) == medoid_labels_before(dialogs, 1, 0, table.__getitem__)[0]
 
 
 def counts_by_label(graph):
