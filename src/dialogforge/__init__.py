@@ -12,137 +12,51 @@ Quick tour::
 
     dialog = alice.dialog_with(bob, seed=1)
     print(dialog)
+
+Each exported name is imported from its submodule on first use (PEP 562),
+so ``import dialogforge`` loads no submodule and a command loads only the
+modules it runs.
 """
 
-from .agents import END_MARKER, Agent, Persona, persona_prompt
-from .backends import (
-    Backend,
-    HttpBackend,
-    Message,
-    SamplingParams,
-    ScriptedBackend,
-)
-from .dialog import (
-    Dialog,
-    Event,
-    Turn,
-    deserialize_dialog,
-    read_dialog_file,
-    render_dialog,
-    serialize_dialog,
-    write_dialog_file,
-)
-from .errors import (
-    BackendError,
-    BackendExhausted,
-    BadTurnLine,
-    ConfigError,
-    DialogForgeError,
-    DuplicateAgentName,
-    EmptyCompletion,
-    EmptySpeaker,
-    InvariantViolation,
-    NotADirectory,
-    NotFound,
-    ParseError,
-    SchemaViolation,
-    UnserializableSpeaker,
-    WireError,
-)
-from .flow import (
-    ClusterModel,
-    FlowEdge,
-    FlowGraph,
-    FlowNode,
-    build_flow_graph,
-    cluster,
-    cosine,
-    embed,
-    flow_to_dot,
-)
-from .generators import GenerationBrief, generate_dialog, generate_persona_dialog
-from .orchestrators import (
-    ChangeMindOrchestrator,
-    InstructionListOrchestrator,
-    LengthOrchestrator,
-    Orchestrator,
-    SimpleReflexOrchestrator,
-    SimpleResponseOrchestrator,
-)
-from .scenarios import (
-    Capability,
-    Flowchart,
-    Scenario,
-    agents_for_scenario,
-    describe_flowchart,
-    describe_scenario,
-    load_dialog,
-    load_flowchart,
-    load_scenario,
-    set_dataset_root,
-)
+from __future__ import annotations
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Agent",
-    "Backend",
-    "BackendError",
-    "BackendExhausted",
-    "BadTurnLine",
-    "Capability",
-    "ChangeMindOrchestrator",
-    "ClusterModel",
-    "ConfigError",
-    "Dialog",
-    "DialogForgeError",
-    "DuplicateAgentName",
-    "EmptyCompletion",
-    "EmptySpeaker",
-    "END_MARKER",
-    "Event",
-    "FlowEdge",
-    "FlowGraph",
-    "Flowchart",
-    "FlowNode",
-    "GenerationBrief",
-    "HttpBackend",
-    "InstructionListOrchestrator",
-    "InvariantViolation",
-    "LengthOrchestrator",
-    "Message",
-    "NotADirectory",
-    "NotFound",
-    "Orchestrator",
-    "ParseError",
-    "Persona",
-    "SamplingParams",
-    "Scenario",
-    "SchemaViolation",
-    "ScriptedBackend",
-    "SimpleReflexOrchestrator",
-    "SimpleResponseOrchestrator",
-    "Turn",
-    "UnserializableSpeaker",
-    "WireError",
-    "agents_for_scenario",
-    "build_flow_graph",
-    "cluster",
-    "cosine",
-    "describe_flowchart",
-    "describe_scenario",
-    "deserialize_dialog",
-    "embed",
-    "flow_to_dot",
-    "generate_dialog",
-    "generate_persona_dialog",
-    "load_dialog",
-    "load_flowchart",
-    "load_scenario",
-    "persona_prompt",
-    "read_dialog_file",
-    "render_dialog",
-    "serialize_dialog",
-    "set_dataset_root",
-    "write_dialog_file",
-]
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "agents": ("END_MARKER", "Agent", "Persona", "persona_prompt"),
+    "backends": ("Backend", "HttpBackend", "Message", "SamplingParams", "ScriptedBackend"),
+    "dialog": ("Dialog", "Event", "Turn", "deserialize_dialog", "read_dialog_file",
+               "render_dialog", "serialize_dialog", "write_dialog_file"),
+    "errors": ("BackendError", "BackendExhausted", "BadTurnLine", "ConfigError",
+               "DialogForgeError", "DuplicateAgentName", "EmptyCompletion", "EmptySpeaker",
+               "InvariantViolation", "NotADirectory", "NotFound", "ParseError",
+               "SchemaViolation", "UnserializableSpeaker", "WireError"),
+    "flow": ("ClusterModel", "FlowEdge", "FlowGraph", "FlowNode", "build_flow_graph",
+             "cluster", "cosine", "embed", "flow_to_dot"),
+    "generators": ("GenerationBrief", "generate_dialog", "generate_persona_dialog"),
+    "orchestrators": ("ChangeMindOrchestrator", "InstructionListOrchestrator",
+                      "LengthOrchestrator", "Orchestrator", "SimpleReflexOrchestrator",
+                      "SimpleResponseOrchestrator"),
+    "scenarios": ("Capability", "Flowchart", "Scenario", "agents_for_scenario",
+                  "describe_flowchart", "describe_scenario", "load_dialog", "load_flowchart",
+                  "load_scenario", "set_dataset_root"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(__all__)

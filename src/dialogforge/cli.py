@@ -26,16 +26,13 @@ import functools
 import glob as globlib
 import os
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import click
 
-from .agents import Agent, Persona
-from .backends import BASE_URL_ENV, Backend, HttpBackend, ScriptedBackend
 from .dialog import (
     Dialog,
     _optional,
@@ -48,16 +45,16 @@ from .dialog import (
 )
 from .errors import BackendError, ConfigError, DialogForgeError
 from .flow import build_flow_graph, flow_to_dot
-from .orchestrators import (
-    ChangeMindOrchestrator,
-    InstructionListOrchestrator,
-    LengthOrchestrator,
-    Orchestrator,
-    SimpleReflexOrchestrator,
-    SimpleResponseOrchestrator,
-)
-from .scenarios import agents_for_scenario, load_scenario, set_dataset_root
-from .seeding import entropy_seed
+
+# the generation modules (agents, backends, orchestrators, scenarios, seeding)
+# and the thread pool are imported by the functions that use them, so print,
+# filter and flow start without them
+if TYPE_CHECKING:
+    from concurrent.futures import Future
+
+    from .agents import Agent
+    from .backends import Backend
+    from .orchestrators import Orchestrator
 
 # run-spec fields are read with the dialog parser's typed-field reader
 _need = functools.partial(_require, error=ConfigError)
@@ -112,6 +109,8 @@ def make_backend(
     api_key: str | None = None,
 ) -> Backend:
     """Build a fresh backend from the spec (flags > spec file > env)."""
+    from .backends import BASE_URL_ENV, HttpBackend, ScriptedBackend
+
     conf = spec.backend
     if "scripted" in conf:
         script = _need(conf, "scripted", list[str], "backend")
@@ -128,26 +127,27 @@ def make_backend(
     return HttpBackend(url, model_name, api_key=api_key)
 
 
-# builders read params with need(key, kinds) and may(key, kinds, default=None)
+# builders take the orchestrators module and read params with
+# need(key, kinds) and may(key, kinds, default=None)
 _ORCHESTRATOR_BUILDERS = {
-    "length": lambda need, may: LengthOrchestrator(
+    "length": lambda o, need, may: o.LengthOrchestrator(
         min_turns=need("min", int), max_turns=need("max", int)
     ),
-    "change_mind": lambda need, may: ChangeMindOrchestrator(
+    "change_mind": lambda o, need, may: o.ChangeMindOrchestrator(
         probability=need("probability", (int, float)),
         reasons=may("reasons", list[str]),
         max_times=may("maxTimes", int, default=1),
     ),
-    "simple_reflex": lambda need, may: SimpleReflexOrchestrator(
+    "simple_reflex": lambda o, need, may: o.SimpleReflexOrchestrator(
         condition=functools.partial(_contains, need("contains", str).lower()),
         instruction=need("instruction", str),
         persist=may("persist", bool, default=False),
     ),
-    "simple_response": lambda need, may: SimpleResponseOrchestrator(
+    "simple_response": lambda o, need, may: o.SimpleResponseOrchestrator(
         candidates=need("candidates", list[str]),
         top_k=may("topK", int),
     ),
-    "instruction_list": lambda need, may: InstructionListOrchestrator(
+    "instruction_list": lambda o, need, may: o.InstructionListOrchestrator(
         plan=_read_plan(need("plan", dict)),
         persist=may("persist", bool, default=False),
     ),
@@ -165,6 +165,8 @@ def _contains(needle: str, utterance: str) -> bool:
 
 
 def build_orchestrator(record: dict[str, Any]) -> Orchestrator:
+    from . import orchestrators
+
     kind = record["type"]
     builder = _ORCHESTRATOR_BUILDERS.get(kind)
     if builder is None:
@@ -174,12 +176,14 @@ def build_orchestrator(record: dict[str, Any]) -> Orchestrator:
         )
     where = f"orchestrator {kind!r} params"
     params = _may(record, "params", dict, where, default={})
-    return builder(functools.partial(_need, params, where=where),
+    return builder(orchestrators, functools.partial(_need, params, where=where),
                    functools.partial(_may, params, where=where))
 
 
 def make_agents(spec: RunSpec, backend: Backend) -> tuple[Agent, Agent]:
     """Build the conversing pair; the first persona in the spec initiates."""
+    from .agents import Agent, Persona
+
     if len(spec.personas) != 2:
         raise ConfigError(
             f"spec must define exactly two personas, found {len(spec.personas)}"
@@ -250,6 +254,8 @@ _wire_options = _options(  # each command hands them to make_backend as **wire
 def _load_run(spec_path: str, output_dir: str | None, seed: int | None,
               max_turns: int | None = None) -> RunSpec:
     """The run spec with --output-dir, --seed (else spec, else entropy) and --max-turns."""
+    from .seeding import entropy_seed
+
     spec = load_runspec(spec_path)
     if seed is None:
         seed = entropy_seed() if spec.seed is None else spec.seed
@@ -270,7 +276,12 @@ WIRE_WORKERS = 4
 def _run_one(spec: RunSpec, wire: dict[str, str | None],
              agents: Callable[[Backend], tuple[Agent, Agent]], dialog_id: int,
              seed: int) -> Dialog:
-    """Run one dialog between the ``agents`` pair on a fresh backend."""
+    """Run one dialog between the ``agents`` pair on a fresh backend.
+
+    The first calls of ``make_backend`` and ``make_agents`` import their
+    modules, maybe on several pool threads at once; the import system's
+    per-module locks make the other threads wait for the first.
+    """
     first, second = agents(make_backend(spec, **wire))
     return first.dialog_with(second, id=dialog_id, seed=seed, max_turns=spec.max_turns)
 
@@ -283,6 +294,8 @@ def _run_in_order(spec: RunSpec, ids: Iterable[int], job: Callable[[int], Dialog
     one at a time. When ``consume`` raises, or on Ctrl-C, jobs not yet started
     are cancelled and jobs in flight finish before the exception propagates.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     workers = 1 if "scripted" in spec.backend else WIRE_WORKERS
     ids = iter(ids)
     pending: deque[tuple[int, Future[Dialog]]] = deque()
@@ -371,6 +384,8 @@ def batch(spec_path, output_dir, seed, count, max_turns, **wire):
 @handle_errors
 def star_run(root_path, spec_path, output_dir, seed, ids, **wire):
     """Simulate dialogues for dataset scenario IDS, one file per id."""
+    from .scenarios import agents_for_scenario, load_scenario, set_dataset_root
+
     spec = _load_run(spec_path, output_dir, seed)
     root = set_dataset_root(root_path)
     code = 0

@@ -265,47 +265,63 @@ def _parse_structured(text: str) -> Dialog:
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version!r}")
     raw_turns = _require(doc, "turns", list, "dialog")
+    # One pass per list. JSON values are exact str, int and dict (never bool
+    # for int), so an item whose fields all have their exact type is built
+    # straight away; any other item is read field by field, which raises the
+    # typed-field reader's error for its first bad field.
     try:
-        turns = []
-        for i, t in enumerate(raw_turns):
-            if not isinstance(t, dict):
-                raise ParseError(f"turn {i} must be an object")
-            turns.append(
-                Turn(
-                    speaker=_require(t, "speaker", str, f"turn {i}"),
-                    text=_require(t, "text", str, f"turn {i}"),
-                )
-            )
+        turns = [
+            Turn(t["speaker"], t["text"])
+            if type(t) is dict and type(t.get("speaker")) is str and type(t.get("text")) is str
+            else _read_turn(t, i)
+            for i, t in enumerate(raw_turns)
+        ]
         raw_events = _optional(doc, "events", list, "dialog")
         if raw_events is None:
-            events = list(_synth_utter_events(turns))
+            events = _synth_utter_events(turns)
         else:
-            events = []
-            for i, e in enumerate(raw_events):
-                if not isinstance(e, dict):
-                    raise ParseError(f"event {i} must be an object")
-                events.append(
-                    Event(
-                        agent=_require(e, "agent", str, f"event {i}"),
-                        action=_require(e, "action", str, f"event {i}"),
-                        action_label=_optional(e, "actionLabel", str, f"event {i}"),
-                        text=_require(e, "text", str, f"event {i}"),
-                        timestamp=_require(e, "timestamp", int, f"event {i}"),
-                    )
-                )
+            events = [
+                Event(e["agent"], e["action"], e.get("actionLabel"), e["text"], e["timestamp"])
+                if type(e) is dict and type(e.get("agent")) is str
+                and type(e.get("action")) is str and type(e.get("text")) is str
+                and type(e.get("timestamp")) is int
+                and (e.get("actionLabel") is None or type(e["actionLabel"]) is str)
+                else _read_event(e, i)
+                for i, e in enumerate(raw_events)
+            ]
         dialog = Dialog(
             id=_optional(doc, "id", int, "dialog"),
             model=_optional(doc, "model", str, "dialog"),
             seed=_optional(doc, "seed", int, "dialog"),
             scenario=_optional(doc, "scenario", dict, "dialog"),
             personas=_optional(doc, "personas", dict, "dialog"),
-            turns=tuple(turns),
-            events=tuple(events),
+            turns=turns,
+            events=events,
         )
         dialog.validate()
     except InvariantViolation as exc:
         raise ParseError(str(exc)) from exc
     return dialog
+
+
+def _read_turn(t: Any, i: int) -> Turn:
+    if not isinstance(t, dict):
+        raise ParseError(f"turn {i} must be an object")
+    where = f"turn {i}"
+    return Turn(speaker=_require(t, "speaker", str, where), text=_require(t, "text", str, where))
+
+
+def _read_event(e: Any, i: int) -> Event:
+    if not isinstance(e, dict):
+        raise ParseError(f"event {i} must be an object")
+    where = f"event {i}"
+    return Event(
+        agent=_require(e, "agent", str, where),
+        action=_require(e, "action", str, where),
+        action_label=_optional(e, "actionLabel", str, where),
+        text=_require(e, "text", str, where),
+        timestamp=_require(e, "timestamp", int, where),
+    )
 
 
 def _parse_plain(text: str) -> Dialog:

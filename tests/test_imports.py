@@ -1,11 +1,14 @@
 """Every module in src/ and tests/ references each name it imports, every
 module-level private name defined in src/ is referenced somewhere in src/, no
-module in src/ imports numpy or requests at import time, none imports requests
-at all, and the package exports exactly the names its ``__init__`` imports."""
+module in src/ imports numpy or requests at import time, the CLI imports no
+generation module and no thread pool at import time, none imports requests at
+all, and the package's lazy exports resolve each ``__all__`` name, once, to
+the object its submodule defines."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -19,8 +22,8 @@ MODULES = sorted([*SRC_MODULES, *(ROOT / "tests").rglob("*.py")])
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import that the module never references.
 
-    A name listed in ``__all__`` counts as referenced; ``from __future__``
-    imports are ignored.
+    A name listed in a literal ``__all__`` counts as referenced; ``from
+    __future__`` imports are ignored.
     """
     imported: dict[str, int] = {}
     referenced: set[str] = set()
@@ -35,7 +38,7 @@ def unused_imports(source: str) -> list[str]:
             referenced.add(node.id)
         elif isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
+        ) and isinstance(node.value, (ast.List, ast.Tuple)):
             referenced.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in sorted(imported.items())
             if name not in referenced]
@@ -62,19 +65,26 @@ def test_no_unused_imports(path):
 
 # loaded by the functions that use them, so commands that do not stay fast to start
 DEFERRED = ("numpy", "requests")
+# what only the generation commands use, which the CLI loads inside them
+GENERATION = ("dialogforge.agents", "dialogforge.backends", "dialogforge.orchestrators",
+              "dialogforge.scenarios", "dialogforge.seeding", "dialogforge.generators",
+              "concurrent.futures")
 
 
-def eager_deferred_imports(source: str) -> list[str]:
-    """Imports of a DEFERRED package that run when the module is imported.
+def eager_deferred_imports(source: str, deferred_modules=DEFERRED) -> list[str]:
+    """Imports of a ``deferred_modules`` module, or one inside it, that run
+    when the module is imported.
 
     An import inside a function body runs with the function, and one under
     ``if TYPE_CHECKING:`` never runs; any other import, class bodies
-    included, runs at import time.
+    included, runs at import time. Relative imports are read as imports
+    from the ``dialogforge`` package.
     """
     found: list[str] = []
 
     def deferred(module: str) -> bool:
-        return module.split(".")[0] in DEFERRED
+        return any(module == name or module.startswith(name + ".")
+                   for name in deferred_modules)
 
     def scan(node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -87,8 +97,14 @@ def eager_deferred_imports(source: str) -> list[str]:
                          if deferred(alias.name))
             return
         elif isinstance(node, ast.ImportFrom):
-            if node.level == 0 and deferred(node.module):
-                found.append(f"line {node.lineno}: {node.module}")
+            if node.level == 0:
+                modules = [node.module]
+            elif node.module:
+                modules = [f"dialogforge.{node.module}"]
+            else:  # from . import name, ...
+                modules = [f"dialogforge.{alias.name}" for alias in node.names]
+            found.extend(f"line {node.lineno}: {module}" for module in modules
+                         if deferred(module))
             return
         else:
             children = ast.iter_child_nodes(node)
@@ -128,6 +144,31 @@ def test_deferred_scan_flags_only_import_time_imports():
 @pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_import_time_numpy_or_requests(path):
     assert eager_deferred_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_generation_scan_reads_relative_imports_as_package_modules():
+    source = (
+        "from typing import TYPE_CHECKING\n"
+        "from .dialog import Dialog\n"
+        "from .agents import Agent\n"
+        "from . import flow, orchestrators\n"
+        "import concurrent.futures.thread\n"
+        "from concurrent.futures import Future\n"
+        "import concurrent\n"
+        "if TYPE_CHECKING:\n"
+        "    from .backends import Backend\n"
+        "def run():\n"
+        "    from .seeding import entropy_seed\n"
+        "    from concurrent.futures import ThreadPoolExecutor\n"
+    )
+    assert eager_deferred_imports(source, GENERATION) == [
+        "line 3: dialogforge.agents", "line 4: dialogforge.orchestrators",
+        "line 5: concurrent.futures.thread", "line 6: concurrent.futures"]
+
+
+def test_cli_imports_no_generation_module_at_import_time():
+    source = (ROOT / "src" / "dialogforge" / "cli.py").read_text(encoding="utf-8")
+    assert eager_deferred_imports(source, GENERATION) == []
 
 
 def test_src_never_imports_requests():
@@ -205,8 +246,14 @@ def test_no_unreferenced_private_names_in_src():
 def test_package_all_lists_each_imported_name_once():
     import dialogforge
 
-    tree = ast.parse((ROOT / "src" / "dialogforge" / "__init__.py").read_text(encoding="utf-8"))
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert [name for name, n in Counter(dialogforge.__all__).items() if n > 1] == []
-    assert set(dialogforge.__all__) == imported
+    exported = [name for names in dialogforge._EXPORTS.values() for name in names]
+    assert [name for name, n in Counter(exported).items() if n > 1] == []
+    assert sorted(dialogforge.__all__) == sorted(exported)
+    for module, names in dialogforge._EXPORTS.items():
+        submodule = importlib.import_module(f"dialogforge.{module}")
+        for name in names:
+            assert getattr(dialogforge, name) is getattr(submodule, name), name
+    assert sorted(dir(dialogforge)) == sorted(dialogforge.__all__)
+    namespace: dict = {}
+    exec("from dialogforge import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(dialogforge.__all__)

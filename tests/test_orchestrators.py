@@ -11,6 +11,7 @@ from dialogforge import (
     InvariantViolation,
     Persona,
     ScriptedBackend,
+    embed,
 )
 from dialogforge.orchestrators import (
     MESSAGES,
@@ -206,6 +207,17 @@ class TestSimpleResponse:
         make_agent() | orch
         fired = orch.instruct(Dialog(), "unrelated words entirely")
         assert fired.splitlines()[1:] == ["1. alpha beta", "2. gamma delta"]
+
+    def test_candidate_vectors_are_the_bits_of_embed(self):
+        # more candidates than one embedding block, with duplicates, texts
+        # without a token and texts that start or end on token characters
+        words = ["open", "account", "café", "naïve", "\u212a", "\u0130stanbul", "2nd", "", "!?", "a-b"]
+        candidates = [" ".join(words[(i * 7 + j) % len(words)] for j in range(i % 5))
+                      for i in range(600)]
+        orch = SimpleResponseOrchestrator(candidates)
+        assert len(orch._vectors) == len(candidates)
+        for text, vector in zip(candidates, orch._vectors):
+            assert vector.tobytes() == embed(text).tobytes(), text
 
 
 class TestInstructionList:

@@ -1,6 +1,8 @@
 """What each command loads: numpy and the stdlib HTTP client arrive only with
-the code that uses them, requests never does, and the first import of the HTTP
-client from several pool threads at once gives the same files as a serial run.
+the code that uses them, requests never does, the read commands load only the
+dialog model, the errors, the CLI and the flow module of the package and no
+thread pool, and the first import of the HTTP client from several pool threads
+at once gives the same files as a serial run.
 
 Every case runs in a fresh interpreter, since the test process has long since
 imported both modules.
@@ -25,6 +27,10 @@ from test_cli import SRC, wire_reply, write_spec
 FIXTURES = Path(__file__).parent / "fixtures"
 DIALOG = FIXTURES / "star" / "dialogues" / "101.json"
 HEAVY = ("numpy", "requests", "http.client")
+POOL = "concurrent.futures"
+# the package modules print, filter, flow and --help load
+READ_PATH = ["dialogforge", "dialogforge.cli", "dialogforge.dialog", "dialogforge.errors",
+             "dialogforge.flow"]
 
 # argv[1] is the report file; argv[2:] are CLI arguments, or none to import
 # only the package
@@ -41,8 +47,11 @@ else:
     import dialogforge
 with open(sys.argv[1], "w") as report:
     json.dump({"code": code,
-               "loaded": [m for m in %r if m in sys.modules]}, report)
-""" % (HEAVY,)
+               "loaded": [m for m in %r if m in sys.modules],
+               "package": sorted(m for m in sys.modules
+                                 if m == "dialogforge" or m.startswith("dialogforge.")),
+               "pool": %r in sys.modules}, report)
+""" % (HEAVY, POOL)
 
 
 def fresh_env() -> dict[str, str]:
@@ -50,14 +59,30 @@ def fresh_env() -> dict[str, str]:
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
-def heavy_modules_after(tmp_path: Path, *args: str) -> list[str]:
-    """The HEAVY modules a fresh interpreter holds after ``dialogforge ARGS``."""
+def probe(tmp_path: Path, *args: str) -> dict:
+    """What a fresh interpreter holds after ``dialogforge ARGS``: the HEAVY
+    modules ("loaded"), the package's modules ("package") and whether the
+    thread pool module is loaded ("pool")."""
     report = tmp_path / "report.json"
     subprocess.run([sys.executable, "-c", PROBE, str(report), *args], env=fresh_env(),
                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=60,
                    check=True)
     result = json.loads(report.read_text())
     assert result["code"] in (0, None)
+    return result
+
+
+def heavy_modules_after(tmp_path: Path, *args: str) -> list[str]:
+    """The HEAVY modules a fresh interpreter holds after ``dialogforge ARGS``."""
+    return probe(tmp_path, *args)["loaded"]
+
+
+def read_path_heavy_modules_after(tmp_path: Path, *args: str) -> list[str]:
+    """``heavy_modules_after``, for a command that must load only the READ_PATH
+    modules of the package and no thread pool."""
+    result = probe(tmp_path, *args)
+    assert result["package"] == READ_PATH
+    assert not result["pool"]
     return result["loaded"]
 
 
@@ -70,27 +95,36 @@ def mock():
 
 class TestImportFootprint:
     def test_package_import_loads_neither(self, tmp_path):
-        assert heavy_modules_after(tmp_path) == []
+        result = probe(tmp_path)
+        assert result["package"] == ["dialogforge"]
+        assert not result["pool"]
+        assert result["loaded"] == []
 
     def test_help_loads_neither(self, tmp_path):
-        assert heavy_modules_after(tmp_path, "--help") == []
+        assert read_path_heavy_modules_after(tmp_path, "--help") == []
 
     def test_print_loads_neither(self, tmp_path):
-        assert heavy_modules_after(tmp_path, "print", str(DIALOG), "--orchestration") == []
+        assert read_path_heavy_modules_after(tmp_path, "print", str(DIALOG),
+                                             "--orchestration") == []
 
     def test_filter_loads_neither(self, tmp_path):
         pattern = str(DIALOG.parent / "*.json")
-        assert heavy_modules_after(tmp_path, "filter", pattern, "--min-turns", "1") == []
+        assert read_path_heavy_modules_after(tmp_path, "filter", pattern,
+                                             "--min-turns", "1") == []
 
     def test_scripted_batch_loads_neither(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
-        assert heavy_modules_after(tmp_path, "batch", "--spec", str(spec), "-n", "2") == []
+        result = probe(tmp_path, "batch", "--spec", str(spec), "-n", "2")
+        assert result["loaded"] == []
+        assert "dialogforge.agents" in result["package"]
+        assert "dialogforge.scenarios" not in result["package"]
+        assert "dialogforge.generators" not in result["package"]
 
     def test_flow_loads_numpy_only(self, tmp_path):
         out = tmp_path / "flow.dot"
         pattern = str(DIALOG.parent / "*.json")
-        assert heavy_modules_after(tmp_path, "flow", pattern, "--k", "2",
-                                   "--out", str(out)) == ["numpy"]
+        assert read_path_heavy_modules_after(tmp_path, "flow", pattern, "--k", "2",
+                                             "--out", str(out)) == ["numpy"]
         assert out.read_text().startswith("digraph")
 
     def test_wire_generate_loads_http_client_only(self, tmp_path, mock):
