@@ -155,8 +155,8 @@ _ORCHESTRATOR_BUILDERS = {
 
 
 def _read_plan(plan: dict[str, Any]) -> dict[int, str]:
-    if not all(key.isascii() and key.isdigit() for key in plan):
-        raise ConfigError(f"plan keys must be decimal turn indices, got {sorted(plan)}")
+    if len({int(key) for key in plan if key.isascii() and key.isdigit()}) != len(plan):
+        raise ConfigError(f"plan keys must be decimal turn indices, each once, got {sorted(plan)}")
     return {int(key): _need(plan, key, str, "plan") for key in plan}
 
 

@@ -56,16 +56,17 @@ def _bucket(token: str) -> int:
     return value % EMBED_DIM
 
 
-def _embed_rows(texts: Sequence[str], out: np.ndarray, rows: Sequence[int]) -> None:
-    """Write the embedding of ``texts[i]`` into row ``rows[i]`` of ``out``.
+def _embed_rows(texts: Sequence[str]) -> np.ndarray:
+    """The ``(len(texts), EMBED_DIM)`` matrix of the texts' embeddings, row by row.
 
     A block of texts at a time: one ``np.bincount`` counts the tokens of the
     whole block, each text's counts kept to its own row, and each row is
     divided by the norm of its integer counts, whose sum of squares is
-    exact. Rows of texts without tokens are zero.
+    exact, so no row depends on its block. Texts without tokens give zeros.
     """
     import numpy as np
 
+    out = np.empty((len(texts), EMBED_DIM))
     step = max(1, _BLOCK_ELEMENTS // EMBED_DIM)
     for start in range(0, len(texts), step):
         lengths: list[int] = []
@@ -79,7 +80,8 @@ def _embed_rows(texts: Sequence[str], out: np.ndarray, rows: Sequence[int]) -> N
                              minlength=len(lengths) * EMBED_DIM).reshape(-1, EMBED_DIM)
         # a row with a token has a norm of at least 1; a row without one is 0 / 1
         norms = np.sqrt(np.maximum(np.add.reduce(counts * counts, axis=1, keepdims=True), 1))
-        out[rows[start:start + step]] = counts / norms
+        np.divide(counts, norms, out=out[start:start + step])
+    return out
 
 
 def embed(text: str) -> np.ndarray:
@@ -90,11 +92,7 @@ def embed(text: str) -> np.ndarray:
     into one of 256 buckets, and normalizes the resulting term-frequency
     vector to unit length. Texts with no tokens map to the zero vector.
     """
-    import numpy as np
-
-    vector = np.empty((1, EMBED_DIM))
-    _embed_rows([text], vector, [0])
-    return vector[0]
+    return _embed_rows([text])[0]
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -110,10 +108,8 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 class ClusterModel:
     """Result of k-means over utterance vectors."""
 
-    k: int
     centroids: np.ndarray
     assignments: tuple[int, ...]
-    seed: int
 
 
 def _first_occurrences(points: np.ndarray) -> np.ndarray:
@@ -201,18 +197,6 @@ def _products(points: np.ndarray, others: np.ndarray) -> np.ndarray:
     return out
 
 
-def _squared_norms(points: np.ndarray) -> np.ndarray:
-    """Each row's squared norm, summing a block of squared rows at a time."""
-    import numpy as np
-
-    step = max(1, _BLOCK_ELEMENTS // max(1, points.shape[1]))
-    squares = np.empty(len(points))
-    for start in range(0, len(points), step):
-        block = points[start:start + step]
-        np.add.reduce(block * block, axis=1, out=squares[start:start + step])
-    return squares
-
-
 def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
     """Seeded Lloyd k-means with deterministic tie-breaking.
 
@@ -224,9 +208,10 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
     repaired by stealing the point farthest from its own centroid.
 
     Each round computes every squared distance as ||x||^2 - 2 x.c + ||c||^2,
-    with one matrix product a block of rows at a time. A row keeps the
-    argmin of those only when its two smallest are further apart than their
-    rounding error can explain (``_recheck_tolerance``); every other row, and
+    with one matrix product a block of rows at a time and einsum norms. A
+    row keeps the argmin of those only when its two smallest are further
+    apart than their rounding error, summed in any order, can explain
+    (``_recheck_tolerance``); every other row, and
     every row of a round that repairs an empty cluster, gets the sums of
     squared differences, a block of rows at a time. The assignments and
     centroids are those of sums of squared differences for every row, bit
@@ -249,9 +234,7 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
 
     distinct_rows = _first_occurrences(points)
     if k > len(distinct_rows):
-        raise ConfigError(
-            f"k={k} exceeds the {len(distinct_rows)} distinct input vectors"
-        )
+        raise ConfigError(f"k={k} exceeds the {len(distinct_rows)} distinct input vectors")
 
     rng = random.Random(seed)
     chosen = rng.sample(range(len(distinct_rows)), k)
@@ -259,7 +242,7 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
 
     n, d = points.shape
     block = max(1, _BLOCK_ELEMENTS // max(1, k * d))
-    row_sq = _squared_norms(points)
+    row_sq = np.einsum("ij,ij->i", points, points)
     largest_row_sq = float(row_sq.max())
 
     def exact_argmin(distances: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -273,7 +256,7 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
 
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(100):
-        centroid_sq = np.add.reduce(centroids * centroids, axis=1)
+        centroid_sq = np.einsum("ij,ij->i", centroids, centroids)
         distances = _products(points, centroids)
         distances *= -2.0
         distances += row_sq[:, None]
@@ -290,6 +273,7 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
         if not np.bincount(new_assignments, minlength=k).all():
             # the repair reads every row's distance
             new_assignments = exact_argmin(distances, np.arange(n))
+        # k <= distinct rows <= n, so while a cluster is empty another has two members
         for empty in range(k):
             if np.any(new_assignments == empty):
                 continue
@@ -297,8 +281,6 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
             own_distance = distances[np.arange(n), new_assignments]
             # only steal from clusters that keep at least one member
             stealable = counts[new_assignments] >= 2
-            if not np.any(stealable):
-                continue
             candidates = np.where(stealable, own_distance, -np.inf)
             new_assignments[int(candidates.argmax())] = empty
 
@@ -306,16 +288,9 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
             break
         assignments = new_assignments
         for c in range(k):
-            members = np.flatnonzero(assignments == c)
-            if len(members):
-                centroids[c] = _mean_of_rows(points, members)
+            centroids[c] = _mean_of_rows(points, np.flatnonzero(assignments == c))
 
-    return ClusterModel(
-        k=k,
-        centroids=centroids,
-        assignments=tuple(int(a) for a in assignments),
-        seed=seed,
-    )
+    return ClusterModel(centroids=centroids, assignments=tuple(int(a) for a in assignments))
 
 
 @dataclass(frozen=True)
@@ -421,11 +396,9 @@ def _embed_turns(turns: Sequence[Turn], order: Sequence[int],
     """A matrix, as wide as turn 0's vector, whose row j is turn ``order[j]``'s."""
     import numpy as np
 
-    rows = np.argsort(order)
     if embedder is embed:
-        vectors = np.empty((len(turns), EMBED_DIM))
-        _embed_rows([turn.text for turn in turns], vectors, rows)
-        return vectors
+        return _embed_rows([turns[i].text for i in order])
+    rows = np.argsort(order)
     first = np.asarray(embedder(turns[0].text))
     if first.ndim != 1:
         raise ConfigError(f"embedder returned shape {first.shape} for turn 0; "
@@ -457,6 +430,8 @@ def build_flow_graph(
     side receives ceil(k/2) clusters and the other floor(k/2). ``k`` is
     the abstraction knob: higher k, finer-grained action nodes.
     """
+    import numpy as np
+
     if not dialogs:
         raise ConfigError("corpus is empty")
 
@@ -497,7 +472,7 @@ def build_flow_graph(
         # each final centroid is its members' mean, bit for bit
         side_vectors = vectors[a:b]
         dots = _products(side_vectors, model.centroids)
-        squared_norms = _squared_norms(side_vectors)
+        squared_norms = np.einsum("ij,ij->i", side_vectors, side_vectors)
         for cluster_id, group in sorted(groups.items()):
             medoid = _medoid(group, side_vectors, model.centroids[cluster_id],
                              dots[group, cluster_id], squared_norms[group])

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 from .agents import END_MARKER
 from .dialog import Dialog
 from .errors import ConfigError
-from .flow import EMBED_DIM, _embed_rows, cosine, embed
+from .flow import _embed_rows, cosine, embed
 
 if TYPE_CHECKING:
     from .agents import Agent
@@ -190,11 +190,8 @@ class SimpleResponseOrchestrator(Orchestrator):
             raise ConfigError(f"top_k must be in [1, {len(candidates)}], got {top_k}")
         self.candidates = list(candidates)
         self.top_k = top_k
-        import numpy as np
-
         # one block embedding, row for row the bits of embed(candidate)
-        self._vectors = np.empty((len(self.candidates), EMBED_DIM))
-        _embed_rows(self.candidates, self._vectors, range(len(self.candidates)))
+        self._vectors = _embed_rows(self.candidates)
 
     def instruct(self, dialog: Dialog, utterance: str | None):
         if utterance is None:

@@ -33,8 +33,11 @@ _may = functools.partial(_optional, error=InvariantViolation)
 
 
 def _spelling(mapping: dict[str, Any], *names: str) -> str:
-    """The first of ``names`` present in ``mapping``, else the first name."""
-    return next((name for name in names if name in mapping), names[0])
+    """The one of ``names`` present in ``mapping``, else the first name."""
+    present = [name for name in names if name in mapping]
+    if len(present) > 1:
+        raise InvariantViolation(f"keys {present} spell one field; give one of them")
+    return (present or names)[0]
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,13 @@ class TestGenerate:
         ({"backend": {"baseUrl": "http://127.0.0.1:9/v1"}}, "no model name"),
         ({"orchestrators": [{"type": "instruction_list", "params": {"plan": {"x": "Hi"}}}]},
          "plan keys must be decimal turn indices"),
+        ({"orchestrators": [{"type": "instruction_list",
+                             "params": {"plan": {"0": "a", "00": "b"}}}]},
+         "plan keys must be decimal turn indices, each once, got ['0', '00']"),
         ({"personas": {"Alice": {}}}, "exactly two personas, found 1"),
         ({"personas": {"Alice": {}, "Bob": {}, "Carol": {}}}, "exactly two personas, found 3"),
-    ], ids=["maxTurns-zero", "wire-without-model", "plan-key-not-index", "one-persona",
-            "three-personas"])
+    ], ids=["maxTurns-zero", "wire-without-model", "plan-key-not-index",
+            "plan-keys-one-index", "one-persona", "three-personas"])
     def test_invalid_spec_value_exits_1(self, runner, tmp_path, overrides, message):
         spec = write_spec(tmp_path / "spec.json", **overrides)
         result = runner.invoke(main, ["generate", "--spec", str(spec)])

@@ -123,14 +123,13 @@ def test_embed_equals_one_add_per_token(text):
 @example(["open", "account", "\u212a", "\u0130", "", "42"], EMBED_DIM, random.Random(0))
 @example(["café\u212a", "\u0130stanbul", "!!!", "ok ok"], 1, random.Random(1))
 def test_embedding_rows_equal_embed_of_each_text(texts, budget, rng):
-    # rows are written in a permuted order, a few texts to a block
-    rows = list(range(len(texts)))
-    rng.shuffle(rows)
-    matrix = np.full((len(texts), EMBED_DIM), np.nan)
+    # the texts in a shuffled order, a few to a block
+    texts = rng.sample(texts, len(texts))
     with mock.patch.object(flow, "_BLOCK_ELEMENTS", budget):
-        flow._embed_rows(texts, matrix, np.array(rows))
-    for text, row in zip(texts, rows):
-        assert matrix[row].tobytes() == embed(text).tobytes()
+        matrix = flow._embed_rows(texts)
+    assert matrix.dtype == np.float64 and matrix.shape == (len(texts), EMBED_DIM)
+    for text, row in zip(texts, matrix):
+        assert row.tobytes() == embed_one_add_per_token(text).tobytes()
 
 
 class TestCluster:
@@ -327,18 +326,25 @@ def test_late_repair_examples_reach_a_repair_after_round_one(points, k, seed):
 @st.composite
 def decimal_points(draw):
     """Up to 12 points of one or two decimal coordinates, often exactly
-    equidistant from two centroids, with k up to 5."""
+    equidistant from two centroids, with k up to 5 or k the number of
+    distinct rows."""
     d = draw(st.integers(1, 2))
     scale = draw(st.sampled_from([1, 3, 10]))
     rows = draw(st.lists(st.lists(st.integers(-30, 30), min_size=d, max_size=d),
                          min_size=2, max_size=12))
     points = np.array(rows, dtype=np.float64) / scale
-    k = draw(st.integers(1, min(5, len(np.unique(points, axis=0)))))
+    distinct = len(np.unique(points, axis=0))
+    k = draw(st.one_of(st.integers(1, min(5, distinct)), st.just(distinct)))
     return points, k, draw(st.integers(0, 1000))
 
 
 @settings(max_examples=300, deadline=None)
 @given(decimal_points())
+# k is the number of distinct rows, and 0.0 and -0.0 are distinct rows at
+# distance 0: the first round leaves a cluster empty, and the repair needs
+# the only cluster with two members
+@example((np.array([[0.0, 1.0], [-0.0, 1.0], [5.0, 5.0], [0.0, 1.0]]), 3, 0))
+@example((np.array([[0.0], [-0.0], [0.0], [-0.0], [2.0]]), 3, 1))
 @example((np.array(LATE_REPAIRS[0][0]), *LATE_REPAIRS[0][1:]))
 @example((np.array(LATE_REPAIRS[2][0]), *LATE_REPAIRS[2][1:]))
 @example((np.array(LATE_REPAIRS[4][0]), *LATE_REPAIRS[4][1:]))

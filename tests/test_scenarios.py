@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -52,6 +53,21 @@ class TestScenarioSchema:
         )
         assert scenario.domains == ("banking",)
         assert scenario.user_task == "t"
+
+    @pytest.mark.parametrize("data, keys", [
+        ({"Domains": ["a"], "Happy": True, "happy": False}, "['Happy', 'happy']"),
+        ({"Domains": ["a"], "UserTask": "t", "userTask": "u"}, "['UserTask', 'userTask']"),
+        ({"Domains": ["a"], "domains": ["b"]}, "['Domains', 'domains']"),
+        ({"Domains": ["a"], "WizardCapabilities": [{"Task": "t", "task": "u", "Domain": "a"}]},
+         "['Task', 'task']"),
+    ], ids=["Happy", "UserTask", "Domains", "capability-Task"])
+    def test_two_spellings_of_one_field_rejected(self, tmp_path, data, keys):
+        with pytest.raises(InvariantViolation, match=re.escape(keys)):
+            Scenario.from_dict(data)
+        (tmp_path / "scenarios").mkdir()
+        (tmp_path / "scenarios" / "7.json").write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=re.escape(f"scenario 7: keys {keys}")):
+            load_scenario(set_dataset_root(tmp_path), 7)
 
     def test_capability_outside_domains_rejected(self):
         with pytest.raises(InvariantViolation):
