@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .backends import Backend, Message, SamplingParams
-from .dialog import Dialog, Event, _optional, _require
+from .dialog import Dialog, Event, Turn, _optional, _require, _utter
 from .errors import ConfigError, DuplicateAgentName, InvariantViolation
 from .seeding import derive_seed, entropy_seed
 
@@ -112,7 +112,8 @@ class Agent:
     Orchestrators are queried in attachment order before every generated
     utterance; attach them with the ``|`` operator. A fixed
     ``first_utterance`` is the first move, whether the agent opens or
-    answers (no backend call, no orchestration for that move). The RNG is
+    answers (no backend call, no orchestration for that move); it must not
+    be empty, as memory keeps it as an assistant message. The RNG is
     seeded by ``reset``; a new agent starts from fresh entropy.
     """
 
@@ -123,6 +124,8 @@ class Agent:
         first_utterance: str | None = None,
         extra_instructions: str | None = None,
     ):
+        if first_utterance == "":
+            raise ConfigError(f"persona {persona.name!r} has an empty first utterance")
         self.backend = backend
         self.persona = persona
         self.first_utterance = first_utterance
@@ -154,19 +157,20 @@ class Agent:
             orchestrator.reset()
         return self
 
-    def respond(self, incoming: str | None, dialog: Dialog) -> tuple[str, list[Event]]:
-        """Take the agent's next move given the partner's last utterance.
+    def respond(self, incoming: str | None, turns: Sequence[Turn], events: list[Event]) -> str:
+        """Take the agent's next move given the partner's last utterance and
+        return the raw reply.
 
         The first move after ``reset`` is ``first_utterance`` if set. Every
-        other move queries each orchestrator in order; each instruction text
-        it fires is placed as a system message between memory and the incoming
-        message for this generation only, and emitted as an instruct event
-        labelled with the orchestrator's class name and stamped with its
-        position in ``dialog.events``. The incoming message, the reply and
-        instructions from an orchestrator with ``persist`` set join memory.
-        The utter event for the reply is the caller's job.
+        other move queries each orchestrator in order with ``turns``, the
+        turns so far; each instruction text it fires is placed as a system
+        message between memory and the incoming message for this generation
+        only, and appended to ``events`` as an instruct event labelled with
+        the orchestrator's class name and stamped with its position there.
+        The incoming message, the reply and instructions from an
+        orchestrator with ``persist`` set join memory. The turn and its utter
+        event are the caller's job.
         """
-        events: list[Event] = []
         kept: list[Message] = []
         partner = [] if incoming is None else [Message("user", incoming)]
         if self.turns == 0 and self.first_utterance is not None:
@@ -174,7 +178,7 @@ class Agent:
         else:
             fired: list[Message] = []
             for orchestrator in self.orchestrators:
-                text = orchestrator.instruct(dialog, incoming)
+                text = orchestrator.instruct(turns, incoming)
                 if text is None:
                     continue
                 if not text:
@@ -183,20 +187,12 @@ class Agent:
                 fired.append(message)
                 if orchestrator.persist:
                     kept.append(message)
-                events.append(
-                    Event(
-                        agent=self.name,
-                        action="instruct",
-                        action_label=orchestrator.name,
-                        text=text,
-                        timestamp=len(dialog.events) + len(events),
-                    )
-                )
+                events.append(Event(self.name, "instruct", orchestrator.name, text, len(events)))
             params = SamplingParams(seed=self.seed)
             reply = self.backend.complete(self.memory + fired + partner, params)
         self.memory += kept + partner + [Message("assistant", reply)]
         self.turns += 1
-        return reply, events
+        return reply
 
     def dialog_with(
         self,
@@ -227,7 +223,20 @@ class Agent:
             model = self.backend.model
         else:
             model = f"{self.backend.model}+{other.backend.model}"
-        dialog = Dialog(
+
+        turns: list[Turn] = []
+        events: list[Event] = []
+        speaker, listener = self, other
+        incoming: str | None = None
+        for _ in range(max_turns):
+            ended, text = _split_end_marker(speaker.respond(incoming, turns, events))
+            turns.append(Turn(speaker.name, text))
+            events.append(_utter(turns[-1], len(events)))
+            if ended:
+                break
+            incoming = text
+            speaker, listener = listener, speaker
+        return Dialog(
             id=id,
             model=model,
             seed=dialog_seed,
@@ -235,18 +244,6 @@ class Agent:
                 self.name: self.persona.to_dict(),
                 other.name: other.persona.to_dict(),
             },
+            turns=turns,
+            events=events,
         )
-
-        speaker, listener = self, other
-        incoming: str | None = None
-        for _ in range(max_turns):
-            raw, events = speaker.respond(incoming, dialog)
-            for event in events:
-                dialog = dialog.append_event(event)
-            ended, text = _split_end_marker(raw)
-            dialog = dialog.append_utterance(speaker.name, text, len(dialog.events))
-            if ended:
-                break
-            incoming = text
-            speaker, listener = listener, speaker
-        return dialog

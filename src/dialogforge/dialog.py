@@ -108,13 +108,7 @@ class Dialog:
         so appending is monotonic by construction.
         """
         turn = Turn(speaker=speaker, text=text)
-        event = Event(
-            agent=speaker,
-            action="utter",
-            action_label=None,
-            text=turn.text,
-            timestamp=self._clamp(timestamp),
-        )
+        event = _utter(turn, self._clamp(timestamp))
         return replace(self, turns=self.turns + (turn,), events=self.events + (event,))
 
     def append_event(self, event: Event) -> "Dialog":
@@ -144,12 +138,14 @@ class Dialog:
                 raise InvariantViolation(f"turn {i} does not match its utter event")
 
 
+def _utter(turn: Turn, timestamp: int) -> Event:
+    """The utter event that mirrors ``turn`` in a dialog's event list."""
+    return Event(turn.speaker, "utter", None, turn.text, timestamp)
+
+
 def _synth_utter_events(turns: Iterable[Turn]) -> tuple[Event, ...]:
     # Timestamp 0 is the "unknown" sentinel for imported dialogs.
-    return tuple(
-        Event(agent=t.speaker, action="utter", action_label=None, text=t.text, timestamp=0)
-        for t in turns
-    )
+    return tuple(_utter(t, 0) for t in turns)
 
 
 def _to_mapping(dialog: Dialog) -> dict[str, Any]:

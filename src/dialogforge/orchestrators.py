@@ -1,10 +1,11 @@
 """Orchestrators: per-agent policies that inject instructions before a turn.
 
-An orchestrator sees the dialog so far plus the partner's last utterance
-and may return one instruction text to be placed in the agent's prompt
-for the upcoming generation. Orchestrators compose in attachment order:
-``agent | length_orch | mind_orch``. State is owned by the attached agent
-and cleared on agent reset.
+An orchestrator sees the turns so far (a read-only sequence of ``Turn``)
+plus the partner's last utterance and may return one instruction text to
+be placed in the agent's prompt for the upcoming generation.
+Orchestrators compose in attachment order: ``agent | length_orch |
+mind_orch``. State is owned by the attached agent and cleared on agent
+reset.
 
 The exact instruction strings live in the MESSAGES catalog below so
 golden tests stay stable.
@@ -12,15 +13,15 @@ golden tests stay stable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .agents import END_MARKER
-from .dialog import Dialog
 from .errors import ConfigError
 from .flow import _embed_rows, cosine, embed
 
 if TYPE_CHECKING:
     from .agents import Agent
+    from .dialog import Turn
 
 MESSAGES = {
     "continue": (
@@ -46,10 +47,12 @@ class Orchestrator:
 
     Subclasses implement ``instruct(dialog, utterance)`` and return a
     non-empty instruction text to intervene, or None to stay silent.
-    ``utterance`` is the partner's last utterance, None on the agent's
-    first move. The agent labels the instruct event with ``name``, which is
-    the class name, and keeps the instruction in memory when ``persist`` is
-    set. Override ``reset`` when keeping per-dialogue state.
+    ``dialog`` is the turns so far, a read-only sequence of ``Turn`` that
+    the engine keeps growing, so copy it to keep it. ``utterance`` is the
+    partner's last utterance, None on the agent's first move. The agent
+    labels the instruct event with ``name``, which is the class name, and
+    keeps the instruction in memory when ``persist`` is set. Override
+    ``reset`` when keeping per-dialogue state.
     """
 
     def __init__(self, persist: bool = False):
@@ -72,7 +75,7 @@ class Orchestrator:
     def reset(self) -> None:
         pass
 
-    def instruct(self, dialog: Dialog, utterance: str | None) -> str | None:
+    def instruct(self, dialog: Sequence[Turn], utterance: str | None) -> str | None:
         raise NotImplementedError
 
     def _owner(self) -> "Agent":
@@ -99,7 +102,7 @@ class SimpleReflexOrchestrator(Orchestrator):
         self.condition = condition
         self.instruction = instruction
 
-    def instruct(self, dialog: Dialog, utterance: str | None):
+    def instruct(self, dialog: Sequence[Turn], utterance: str | None):
         if self.condition(utterance if utterance is not None else ""):
             return self.instruction
         return None
@@ -122,7 +125,7 @@ class LengthOrchestrator(Orchestrator):
         self.min_turns = min_turns
         self.max_turns = max_turns
 
-    def instruct(self, dialog: Dialog, utterance: str | None):
+    def instruct(self, dialog: Sequence[Turn], utterance: str | None):
         length = len(dialog)
         if length < self.min_turns:
             return MESSAGES["continue"]
@@ -158,7 +161,7 @@ class ChangeMindOrchestrator(Orchestrator):
     def reset(self) -> None:
         self.fired = 0
 
-    def instruct(self, dialog: Dialog, utterance: str | None):
+    def instruct(self, dialog: Sequence[Turn], utterance: str | None):
         rng = self._owner().rng
         draw = rng.random()
         if draw >= self.probability or self.fired >= self.max_times:
@@ -193,7 +196,7 @@ class SimpleResponseOrchestrator(Orchestrator):
         # one block embedding, row for row the bits of embed(candidate)
         self._vectors = _embed_rows(self.candidates)
 
-    def instruct(self, dialog: Dialog, utterance: str | None):
+    def instruct(self, dialog: Sequence[Turn], utterance: str | None):
         if utterance is None:
             return None
         ranked = self.rank(utterance)[: self.top_k]
@@ -222,5 +225,5 @@ class InstructionListOrchestrator(Orchestrator):
                 raise ConfigError(f"plan indices must be non-negative, got {index}")
         self.plan = dict(plan)
 
-    def instruct(self, dialog: Dialog, utterance: str | None):
+    def instruct(self, dialog: Sequence[Turn], utterance: str | None):
         return self.plan.get(self._owner().turns)

@@ -42,6 +42,13 @@ class EagerBackend(Backend):
         return "I think we are done here. [END]"
 
 
+def respond(agent, incoming: str | None = "hi") -> tuple[str, list]:
+    """One move of ``agent`` with no turns so far: its reply and the
+    instruct events the move appended."""
+    events: list = []
+    return agent.respond(incoming, [], events), events
+
+
 # ---------------------------------------------------------------------------
 # Independent hashed-TF embedding oracle (dict-based, no numpy)
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from dialogforge import (
     Agent,
     ConfigError,
-    Dialog,
     DuplicateAgentName,
     InvariantViolation,
     Persona,
@@ -20,6 +19,7 @@ from dialogforge.orchestrators import (
     InstructionListOrchestrator,
     SimpleReflexOrchestrator,
 )
+from helpers import respond
 
 ALICE = Persona(name="Alice", role="barista", personality="cheerful")
 BOB = Persona(name="Bob", role="customer", personality="curious")
@@ -82,9 +82,13 @@ class TestAgent:
         b = Agent(ScriptedBackend(["x"]), ALICE).reset(0)
         assert [a.rng.random() for _ in range(5)] == [b.rng.random() for _ in range(5)]
 
+    def test_empty_first_utterance_rejected(self):
+        with pytest.raises(ConfigError, match="persona 'Alice' has an empty first utterance"):
+            Agent(ScriptedBackend(["x"]), ALICE, first_utterance="")
+
     def test_respond_passthrough_without_orchestrators(self):
         agent = Agent(ScriptedBackend(["Sure!"]), ALICE)
-        reply, events = agent.respond("Hello?", Dialog())
+        reply, events = respond(agent, "Hello?")
         assert reply == "Sure!"
         assert events == []
 
@@ -93,7 +97,7 @@ class TestAgent:
         agent = agent | InstructionListOrchestrator(
             {0: "Say 'Hello!' as your first utterance."}
         )
-        reply, events = agent.respond(None, Dialog())
+        reply, events = respond(agent, None)
         assert len(events) == 1
         assert events[0].action == "instruct"
         assert events[0].text == "Say 'Hello!' as your first utterance."
@@ -103,13 +107,13 @@ class TestAgent:
         agent = Agent(ScriptedBackend(["ok"]), ALICE)
         agent = agent | SimpleReflexOrchestrator(lambda _: True, "first")
         agent = agent | SimpleReflexOrchestrator(lambda _: True, "second")
-        _, events = agent.respond("hi", Dialog())
+        _, events = respond(agent)
         assert [e.text for e in events] == ["first", "second"]
 
     def test_ephemeral_instructions_removed_from_memory(self):
         agent = Agent(ScriptedBackend(["ok"]), ALICE)
         agent = agent | SimpleReflexOrchestrator(lambda _: True, "transient hint")
-        agent.respond("hi", Dialog())
+        respond(agent)
         assert not any("transient hint" in m.content for m in agent.memory)
 
     def test_persistent_instructions_stay(self):
@@ -117,7 +121,7 @@ class TestAgent:
         agent = agent | SimpleReflexOrchestrator(
             lambda _: True, "permanent rule", persist=True
         )
-        agent.respond("hi", Dialog())
+        respond(agent)
         assert any(m.role == "system" and m.content == "permanent rule"
                    for m in agent.memory)
 
@@ -125,13 +129,13 @@ class TestAgent:
         mind = ChangeMindOrchestrator(probability=1.0, max_times=2)
         agent = Agent(ScriptedBackend(["ok"], cycle=True), ALICE).reset(1) | mind
         for _ in range(4):
-            agent.respond("hi", Dialog())
+            respond(agent)
         assert mind.fired == 2
         agent.reset(seed=1)
         assert len(agent.memory) == 1
         assert mind.fired == 0
         for _ in range(4):
-            agent.respond("hi", Dialog())
+            respond(agent)
         assert mind.fired == 2
 
     def test_reset_reseeds_deterministically(self):

@@ -53,6 +53,11 @@ class TestSamplingParams:
         with pytest.raises(ConfigError):
             SamplingParams(temperature=temperature)
 
+    @pytest.mark.parametrize("max_tokens", [0, -1])
+    def test_non_positive_max_tokens_rejected(self, max_tokens):
+        with pytest.raises(ConfigError, match="max_tokens must be positive"):
+            SamplingParams(max_tokens=max_tokens)
+
 
 class TestScriptedBackend:
     def test_passthrough(self):

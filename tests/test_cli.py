@@ -230,6 +230,15 @@ class TestBatch:
         assert result.output.startswith("error: dialog 0 failed: scripted backend exhausted")
         assert not (tmp_path / "out").exists()
 
+    def test_empty_first_utterance_names_persona_exits_1(self, runner, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", personas={
+            "Alice": {"role": "barista"}, "Bob": {"firstUtterance": ""}})
+        result = runner.invoke(main, ["batch", "--spec", str(spec), "-n", "2"])
+        assert result.exit_code == 1
+        assert result.output == (
+            "error: dialog 0 failed: persona 'Bob' has an empty first utterance\n")
+        assert not (tmp_path / "out").exists()
+
     def test_zero_count_rejected(self, runner, spec_path):
         result = runner.invoke(main, ["batch", "--spec", str(spec_path), "-n", "0"])
         assert result.exit_code == 1

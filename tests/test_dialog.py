@@ -138,6 +138,8 @@ class TestSerialization:
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):
             serialize_dialog(Dialog(), "yaml")
+        with pytest.raises(ConfigError, match="unknown dialog format 'yaml'"):
+            deserialize_dialog("A: hi\n", "yaml")
 
     def test_structured_refuses_what_it_cannot_read_back(self):
         # a turn without its paired utter event would fail on parse

@@ -177,6 +177,15 @@ class TestCluster:
             with pytest.raises(ConfigError):
                 cluster(vectors, k=2, seed=0)
 
+    @pytest.mark.parametrize("vectors, k, message", [
+        ([[0, 0], [1, 1]], 0, "k must be positive"),
+        ([[0, 0], [1, 1]], -1, "k must be positive"),
+        ([], 1, "non-empty list of vectors"),
+    ], ids=["k-zero", "k-negative", "no-vectors"])
+    def test_bad_k_or_no_vectors_rejected(self, vectors, k, message):
+        with pytest.raises(ConfigError, match=message):
+            cluster(vectors, k=k, seed=0)
+
     def test_empty_cluster_repaired(self):
         # with this seed one of the four clusters loses every point to its
         # neighbours during the Lloyd rounds; the repair hands it the point
@@ -690,6 +699,15 @@ class TestBuildFlowGraph:
         with pytest.raises(ConfigError):
             build_flow_graph([], k=2, seed=0)
 
+    def test_corpus_without_turns_rejected(self):
+        with pytest.raises(ConfigError, match="corpus has no turns"):
+            build_flow_graph([Dialog(), Dialog(id=1)], k=2, seed=0)
+
+    def test_k_below_sides_rejected(self):
+        d = Dialog().append_utterance("A", "x", 0).append_utterance("B", "y", 1)
+        with pytest.raises(ConfigError, match=r"k=1 is below the number of speaker sides \(2\)"):
+            build_flow_graph([d], k=1, seed=0)
+
     def test_three_dimensional_embedder(self):
         def one_hot(text):
             phrases = AGENT_PHRASES if text in AGENT_PHRASES else CLIENT_PHRASES
@@ -749,6 +767,19 @@ class TestValidateFlowGraph:
     def test_edge_to_missing_node_rejected(self, pair):
         graph = FlowGraph(self.NODES, self.edges((START_NODE, "a"), pair))
         with pytest.raises(ConfigError, match="missing node"):
+            validate_flow_graph(graph)
+
+    @pytest.mark.parametrize("count, probability", [(0, 1.0), (1, 0.0), (1, 1.5)])
+    def test_bad_edge_weight_rejected(self, count, probability):
+        bad = FlowEdge(source="a", target=END_NODE, count=count, probability=probability)
+        graph = FlowGraph(self.NODES, (*self.edges((START_NODE, "a")), bad))
+        with pytest.raises(ConfigError, match="invalid edge weight on a->END"):
+            validate_flow_graph(graph)
+
+    def test_unnormalized_probabilities_rejected(self):
+        half = FlowEdge(source=START_NODE, target="a", count=1, probability=0.5)
+        graph = FlowGraph(self.NODES, (half, *self.edges(("a", END_NODE))))
+        with pytest.raises(ConfigError, match="outgoing probabilities of START sum to 0.5"):
             validate_flow_graph(graph)
 
 

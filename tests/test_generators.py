@@ -41,6 +41,11 @@ class TestBrief:
         with pytest.raises(InvariantViolation):
             GenerationBrief(details="x", speaker_a="A", speaker_b="A")
 
+    @pytest.mark.parametrize("speaker_a, speaker_b", [(" ", "B"), ("A", "")])
+    def test_blank_speaker_label_rejected(self, speaker_a, speaker_b):
+        with pytest.raises(InvariantViolation, match="speaker labels must be non-empty"):
+            GenerationBrief(details="x", speaker_a=speaker_a, speaker_b=speaker_b)
+
 
 class TestGenerateDialog:
     def test_valid_array_parsed(self):
@@ -64,6 +69,10 @@ class TestGenerateDialog:
         d = generate_dialog(ScriptedBackend([fenced]), BRIEF, seed=1)
         assert len(d) == 2
 
+    def test_fence_never_closed_tolerated(self):
+        d = generate_dialog(ScriptedBackend([f"```json\n{VALID_ARRAY}"]), BRIEF, seed=1)
+        assert len(d) == 2
+
     def test_repair_reask_recovers(self):
         backend = ScriptedBackend(["sorry, here you go:", VALID_ARRAY])
         d = generate_dialog(backend, BRIEF, seed=1)
@@ -74,6 +83,12 @@ class TestGenerateDialog:
         with pytest.raises(SchemaViolation) as excinfo:
             generate_dialog(backend, BRIEF, seed=1)
         assert excinfo.value.raw == "prose two"
+
+    def test_non_array_completion_rejected_with_raw(self):
+        bad = json.dumps({"speaker": "Customer", "text": "hi"})
+        with pytest.raises(SchemaViolation, match="completion must be a JSON array") as excinfo:
+            generate_dialog(ScriptedBackend([bad, bad]), BRIEF, seed=1)
+        assert excinfo.value.raw == bad
 
     def test_off_schema_speaker_rejected(self):
         bad = json.dumps([{"speaker": "Stranger", "text": "hi"}])

@@ -7,10 +7,10 @@ import pytest
 from dialogforge import (
     Agent,
     ConfigError,
-    Dialog,
     InvariantViolation,
     Persona,
     ScriptedBackend,
+    Turn,
     embed,
 )
 from dialogforge.orchestrators import (
@@ -22,7 +22,7 @@ from dialogforge.orchestrators import (
     SimpleReflexOrchestrator,
     SimpleResponseOrchestrator,
 )
-from helpers import oracle_cosine, oracle_embed
+from helpers import oracle_cosine, oracle_embed, respond
 
 ALICE = Persona(name="Alice")
 BOB = Persona(name="Bob")
@@ -32,11 +32,9 @@ def make_agent(script=("ok",), seed=0, persona=ALICE):
     return Agent(ScriptedBackend(list(script), cycle=True), persona).reset(seed)
 
 
-def dialog_of_length(n: int) -> Dialog:
-    d = Dialog()
-    for i in range(n):
-        d = d.append_utterance(["Alice", "Bob"][i % 2], f"line {i}", i)
-    return d
+def dialog_of_length(n: int) -> list[Turn]:
+    """The first ``n`` turns of a dialog, as orchestrators see them."""
+    return [Turn(["Alice", "Bob"][i % 2], f"line {i}") for i in range(n)]
 
 
 class TestInstruction:
@@ -47,7 +45,7 @@ class TestInstruction:
 
         agent = make_agent() | EmptyText()
         with pytest.raises(InvariantViolation):
-            agent.respond("hi", Dialog())
+            respond(agent)
 
 
 class TestAttach:
@@ -60,13 +58,20 @@ class TestAttach:
     def test_same_orchestrator_twice_fires_twice(self):
         orch = SimpleReflexOrchestrator(lambda _: True, "hint")
         agent = make_agent() | orch | orch
-        _, events = agent.respond("hi", Dialog())
+        _, events = respond(agent)
         assert [e.text for e in events] == ["hint", "hint"]
         assert {e.action_label for e in events} == {"SimpleReflexOrchestrator"}
 
     def test_no_orchestrators_no_instruct_events(self):
-        _, events = make_agent().respond("hi", Dialog())
+        _, events = respond(make_agent())
         assert events == []
+
+    @pytest.mark.parametrize("orch", [ChangeMindOrchestrator(probability=1.0),
+                                      InstructionListOrchestrator({0: "x"})],
+                             ids=["change_mind", "instruction_list"])
+    def test_unattached_orchestrator_that_reads_its_agent_rejected(self, orch):
+        with pytest.raises(ConfigError, match="is not attached to an agent"):
+            orch.instruct([], "hi")
 
     def test_rebinding_to_other_agent_rejected(self):
         orch = SimpleReflexOrchestrator(lambda _: True, "x")
@@ -76,20 +81,24 @@ class TestAttach:
 
 
 class TestSimpleReflex:
+    def test_empty_instruction_rejected(self):
+        with pytest.raises(ConfigError, match="reflex instruction must be non-empty"):
+            SimpleReflexOrchestrator(lambda _: True, "")
+
     def test_condition_true_fires(self):
         orch = SimpleReflexOrchestrator(
             lambda u: "refund" in u, "Offer an apology first."
         )
-        assert orch.instruct(Dialog(), "I want a refund") == "Offer an apology first."
+        assert orch.instruct([], "I want a refund") == "Offer an apology first."
 
     def test_condition_false_silent(self):
         orch = SimpleReflexOrchestrator(lambda u: "refund" in u, "x")
-        assert orch.instruct(Dialog(), "hello") is None
+        assert orch.instruct([], "hello") is None
 
     def test_missing_utterance_becomes_empty_string(self):
         seen = []
         orch = SimpleReflexOrchestrator(lambda u: seen.append(u) or False, "x")
-        assert orch.instruct(Dialog(), None) is None
+        assert orch.instruct([], None) is None
         assert seen == [""]
 
 
@@ -108,6 +117,11 @@ class TestLength:
         orch = LengthOrchestrator(min_turns=2, max_turns=5)
         assert orch.instruct(dialog_of_length(3), "x") is None
 
+    @pytest.mark.parametrize("min_turns, max_turns", [(0, 5), (2, 0), (-1, 3)])
+    def test_non_positive_bounds_rejected(self, min_turns, max_turns):
+        with pytest.raises(ConfigError, match="must be positive"):
+            LengthOrchestrator(min_turns=min_turns, max_turns=max_turns)
+
     def test_min_above_max_rejected(self):
         with pytest.raises(ConfigError):
             LengthOrchestrator(min_turns=6, max_turns=5)
@@ -118,10 +132,15 @@ class TestChangeMind:
         with pytest.raises(ConfigError):
             ChangeMindOrchestrator(probability=1.5)
 
+    @pytest.mark.parametrize("max_times", [0, -2])
+    def test_non_positive_max_times_rejected(self, max_times):
+        with pytest.raises(ConfigError, match="max_times must be positive"):
+            ChangeMindOrchestrator(probability=0.5, max_times=max_times)
+
     def test_probability_zero_never_fires(self):
         agent = make_agent() | ChangeMindOrchestrator(probability=0.0, max_times=3)
         for _ in range(10):
-            _, events = agent.respond("hi", Dialog())
+            _, events = respond(agent)
             assert events == []
 
     def test_probability_one_fires_first_n_turns(self):
@@ -129,7 +148,7 @@ class TestChangeMind:
         agent = make_agent() | mind
         fired = []
         for _ in range(5):
-            _, events = agent.respond("hi", Dialog())
+            _, events = respond(agent)
             fired.append(bool(events))
         assert fired == [True, True, False, False, False]
 
@@ -141,14 +160,14 @@ class TestChangeMind:
             agent.reset(seed)
             count = 0
             for _ in range(10):
-                _, events = agent.respond("hi", Dialog())
+                _, events = respond(agent)
                 count += len(events)
             assert count <= 2
 
     def test_reason_cited(self):
         mind = ChangeMindOrchestrator(probability=1.0, reasons=["changed plans"])
         agent = make_agent() | mind
-        _, events = agent.respond("hi", Dialog())
+        _, events = respond(agent)
         assert "changed plans" in events[0].text
 
     def test_draw_discard_keeps_stream_aligned(self):
@@ -161,7 +180,7 @@ class TestChangeMind:
             agent | mind
             agent.reset(123)
             for _ in range(6):
-                mind.instruct(Dialog(), "x")
+                mind.instruct([], "x")
             return [agent.rng.random() for _ in range(3)]
 
         assert downstream_draws(0) == downstream_draws(1)
@@ -173,13 +192,13 @@ class TestSimpleResponse:
     def test_first_turn_silent(self):
         orch = SimpleResponseOrchestrator(self.CANDIDATES)
         make_agent() | orch
-        assert orch.instruct(Dialog(), None) is None
+        assert orch.instruct([], None) is None
 
     def test_ranking_matches_oracle(self):
         query = "I want to open an account"
         orch = SimpleResponseOrchestrator(self.CANDIDATES, top_k=2)
         make_agent() | orch
-        fired = orch.instruct(Dialog(), query)
+        fired = orch.instruct([], query)
         oracle_scores = {
             c: oracle_cosine(oracle_embed(query), oracle_embed(c))
             for c in self.CANDIDATES
@@ -191,7 +210,7 @@ class TestSimpleResponse:
     def test_top_k_all_lists_everything(self):
         orch = SimpleResponseOrchestrator(self.CANDIDATES, top_k=2)
         make_agent() | orch
-        fired = orch.instruct(Dialog(), "open")
+        fired = orch.instruct([], "open")
         assert "open a new account" in fired and "close account" in fired
 
     def test_top_k_validated(self):
@@ -205,7 +224,7 @@ class TestSimpleResponse:
     def test_tie_breaks_keep_candidate_order(self):
         orch = SimpleResponseOrchestrator(["alpha beta", "gamma delta"], top_k=2)
         make_agent() | orch
-        fired = orch.instruct(Dialog(), "unrelated words entirely")
+        fired = orch.instruct([], "unrelated words entirely")
         assert fired.splitlines()[1:] == ["1. alpha beta", "2. gamma delta"]
 
     def test_candidate_vectors_are_the_bits_of_embed(self):
@@ -251,14 +270,14 @@ class TestInstructionList:
     def test_empty_plan_never_fires(self):
         agent = make_agent() | InstructionListOrchestrator({})
         for _ in range(4):
-            _, events = agent.respond("hi", Dialog())
+            _, events = respond(agent)
             assert events == []
 
     def test_single_entry_plan(self):
         plan = InstructionListOrchestrator({0: "Greet warmly"})
         agent = make_agent() | plan
-        assert plan.instruct(Dialog(), None) == "Greet warmly"
-        agent.respond(None, Dialog())
+        assert plan.instruct([], None) == "Greet warmly"
+        respond(agent, None)
         assert plan.instruct(dialog_of_length(2), "x") is None
 
     def test_negative_index_rejected(self):

@@ -69,6 +69,12 @@ class TestScenarioSchema:
         with pytest.raises(ParseError, match=re.escape(f"scenario 7: keys {keys}")):
             load_scenario(set_dataset_root(tmp_path), 7)
 
+    @pytest.mark.parametrize("capability", [{"Task": "", "Domain": "a"}, {"Task": "t", "Domain": ""}],
+                             ids=["Task", "Domain"])
+    def test_empty_capability_field_rejected(self, capability):
+        with pytest.raises(InvariantViolation, match="capability needs Task and Domain"):
+            Scenario.from_dict({"Domains": ["a"], "WizardCapabilities": [capability]})
+
     def test_capability_outside_domains_rejected(self):
         with pytest.raises(InvariantViolation):
             Scenario(domains=("banking",),
@@ -244,6 +250,11 @@ class TestFlowchart:
     def test_exactly_one_entry_required(self):
         with pytest.raises(InvariantViolation):
             Flowchart(task="t", nodes=(ChartNode("a", "A"),), edges=())
+
+    def test_duplicate_node_id_rejected(self):
+        with pytest.raises(InvariantViolation, match="node ids must be unique"):
+            Flowchart(task="t", nodes=(ChartNode("a", "A", entry=True), ChartNode("a", "B")),
+                      edges=())
 
     def test_dangling_edge_rejected(self):
         with pytest.raises(InvariantViolation):
