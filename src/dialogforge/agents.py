@@ -214,6 +214,7 @@ class Agent:
         """
         if max_turns <= 0:
             raise ConfigError("max_turns must be positive")
+        Dialog(id=id)  # a bad id fails before the first move
         if self.name == other.name:
             raise DuplicateAgentName(f"both agents are named {self.name!r}")
         dialog_seed = entropy_seed() if seed is None else seed

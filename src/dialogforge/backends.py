@@ -16,7 +16,7 @@ import urllib.parse
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .dialog import _require
+from .dialog import _loads, _require
 from .errors import (
     BackendExhausted,
     ConfigError,
@@ -146,12 +146,14 @@ class HttpBackend(Backend):
         self.timeout = timeout
         self._url = f"{self.base_url}/chat/completions"
         target = _split_url(self._url, ("http", "https"), f"base_url {base_url!r}")
+        if target.query or target.fragment:  # the path would not end in /chat/completions
+            raise ConfigError(f"base_url {base_url!r} has a query or fragment")
         https = target.scheme == "https"
 
         self._headers = {"Content-Type": "application/json", "Connection": "close"}
         if self.api_key:
             self._headers["Authorization"] = f"Bearer {self.api_key}"
-        self._target = target.path + (f"?{target.query}" if target.query else "")
+        self._target = target.path
         self._tunnel = None
         address = target.hostname, target.port
         proxies = urllib.request.getproxies()
@@ -224,7 +226,7 @@ def _read_reply(status: int, data: bytes) -> str:
     if status != 200:
         raise WireError(f"HTTP {status} from backend: {excerpt}", status=status)
     try:
-        reply = json.loads(data)
+        reply = _loads(data.decode("utf-8"))
     except ValueError:  # JSON and UTF-8 errors
         reply = None
     where = f"malformed completion response: {excerpt}"

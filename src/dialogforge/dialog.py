@@ -13,8 +13,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import pairwise
 from pathlib import Path
-from typing import Any, Iterable, Literal
+from typing import Any, Callable, Iterable, Literal
 
 from .errors import (
     BadTurnLine,
@@ -123,11 +124,8 @@ class Dialog:
 
     def validate(self) -> None:
         """Check every Dialog invariant; raise InvariantViolation on breach."""
-        last = None
-        for event in self.events:
-            if last is not None and event.timestamp < last:
-                raise InvariantViolation("event timestamps must be non-decreasing")
-            last = event.timestamp
+        if any(b.timestamp < a.timestamp for a, b in pairwise(self.events)):
+            raise InvariantViolation("event timestamps must be non-decreasing")
         utters = [e for e in self.events if e.action == "utter"]
         if len(utters) != len(self.turns):
             raise InvariantViolation(
@@ -225,10 +223,23 @@ def _optional(mapping: dict, key: str, kinds, where: str, error=ParseError, defa
     raise error(f"{where}: invalid {key!r} field")
 
 
+def _loads(text: str, error: Callable[[str], Exception] = ValueError) -> Any:
+    """``json.loads(text)``, raising ``error`` on bad JSON or a lone surrogate."""
+    try:
+        doc = json.loads(text)
+        if "\\ud" in text or "\\uD" in text:  # in UTF-8 text, only such an escape makes one
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")  # UTF-8 cannot encode one
+    except UnicodeEncodeError as exc:
+        raise error(f"a string holds a lone surrogate, {exc.object[exc.start]!r}") from None
+    except ValueError as exc:
+        raise error(f"not valid JSON: {exc}") from exc
+    return doc
+
+
 def _read_json(path: Path, what: str, error=ParseError) -> dict[str, Any]:
     """The JSON object stored in ``path``; any other content raises ``error``."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = _loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
         raise error(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -251,10 +262,7 @@ def deserialize_dialog(text: str, format: Format = "structured") -> Dialog:
 
 
 def _parse_structured(text: str) -> Dialog:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from exc
+    doc = _loads(text, ParseError)
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     version = _require(doc, "formatVersion", str, "dialog")

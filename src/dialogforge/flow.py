@@ -18,7 +18,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, pairwise
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .dialog import Dialog, Turn
@@ -391,29 +391,27 @@ def _transition_graph(
     return FlowGraph(nodes=tuple(sorted([*nodes, *ends], key=lambda n: n.id)), edges=edges)
 
 
-def _embed_turns(turns: Sequence[Turn], order: Sequence[int],
-                 embedder: Callable[[str], np.ndarray]) -> np.ndarray:
-    """A matrix, as wide as turn 0's vector, whose row j is turn ``order[j]``'s."""
+def _embed_turns(turns: Sequence[Turn], indices: Sequence[int],
+                 embedder: Callable[[str], np.ndarray], shape: tuple | None) -> np.ndarray:
+    """Row j is turn ``indices[j]``'s vector; ``shape``, turn 0's, is None if turn 0 is first."""
     import numpy as np
 
     if embedder is embed:
-        return _embed_rows([turns[i].text for i in order])
-    rows = np.argsort(order)
-    first = np.asarray(embedder(turns[0].text))
-    if first.ndim != 1:
-        raise ConfigError(f"embedder returned shape {first.shape} for turn 0; "
-                          "a vector must be 1-D")
-    vectors = np.empty((len(turns), len(first)))
-    vectors[rows[0]] = first
-    for i in range(1, len(turns)):
+        return _embed_rows([turns[i].text for i in indices])
+    for row, i in enumerate(indices):
         vector = np.asarray(embedder(turns[i].text))
-        if vector.shape != first.shape:
+        shape = shape or vector.shape
+        if len(shape) != 1:
+            raise ConfigError(f"embedder returned shape {shape} for turn 0; "
+                              "a vector must be 1-D")
+        if vector.shape != shape:
             raise ConfigError(f"embedder returned shape {vector.shape} for turn {i} "
-                              f"but {first.shape} for turn 0")
-        vectors[rows[i]] = vector
-    finite = np.isfinite(vectors).all(axis=1)[rows]
-    if not finite.all():
-        raise ConfigError(f"embedder returned NaN or infinity for turn {finite.argmin()}")
+                              f"but {shape} for turn 0")
+        if not np.isfinite(vector).all():
+            raise ConfigError(f"embedder returned NaN or infinity for turn {i}")
+        if row == 0:
+            vectors = np.empty((len(indices), *shape))
+        vectors[row] = vector
     return vectors
 
 
@@ -445,18 +443,18 @@ def build_flow_graph(
         raise ConfigError(f"k={k} is below the number of speaker sides ({len(sides)})")
     side_ks = [k] if len(sides) == 1 else [math.ceil(k / 2), math.floor(k / 2)]
 
-    # each side's turns, in corpus order, fill one run of the matrix's rows
     members = [[i for i, turn in enumerate(turns) if turn.speaker == side] for side in sides]
-    vectors = _embed_turns(turns, [i for indices in members for i in indices], embedder)
-    side_rows = list(pairwise(accumulate(map(len, members), initial=0)))
-
     node_of = [""] * len(turns)
     nodes: list[FlowNode] = []
-    for side_index, (side, indices, (a, b)) in enumerate(zip(sides, members, side_rows)):
+    shape = None
+    for side_index, (side, indices) in enumerate(zip(sides, members)):
+        vectors = _embed_turns(turns, indices, embedder, shape)
+        shape = vectors.shape[1:]
         try:
-            model = cluster(vectors[a:b], side_ks[side_index], seed=seed + side_index)
+            model = cluster(vectors, side_ks[side_index], seed=seed + side_index)
         except ConfigError as exc:
-            distinct = [len(_first_occurrences(vectors[a:b])) for a, b in side_rows]
+            distinct = [len(_first_occurrences(_embed_turns(turns, rows, embedder, shape)))
+                        for rows in members]
             largest = distinct[0]
             if len(sides) == 2:  # sides get ceil(k/2) and floor(k/2) clusters
                 largest = min(2 * distinct[0], 2 * distinct[1] + 1)
@@ -470,14 +468,14 @@ def build_flow_graph(
             node_of[indices[j]] = f"s{side_index}c{cluster_id}"
             groups.setdefault(cluster_id, []).append(j)
         # each final centroid is its members' mean, bit for bit
-        side_vectors = vectors[a:b]
-        dots = _products(side_vectors, model.centroids)
-        squared_norms = np.einsum("ij,ij->i", side_vectors, side_vectors)
+        dots = _products(vectors, model.centroids)
+        squared_norms = np.einsum("ij,ij->i", vectors, vectors)
         for cluster_id, group in sorted(groups.items()):
-            medoid = _medoid(group, side_vectors, model.centroids[cluster_id],
+            medoid = _medoid(group, vectors, model.centroids[cluster_id],
                              dots[group, cluster_id], squared_norms[group])
             nodes.append(FlowNode(id=f"s{side_index}c{cluster_id}", speaker_side=side,
                                   label=turns[indices[medoid]].text[:40], size=len(group)))
+        del vectors, dots  # freed before the next side's matrix is built
 
     bounds = list(accumulate((len(dialog.turns) for dialog in dialogs), initial=0))
     paths = [[START_NODE, *node_of[a:b], END_NODE] for a, b in zip(bounds, bounds[1:])]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .agents import Agent, Persona
 from .backends import Backend, Message, SamplingParams
-from .dialog import Dialog, Turn, _require, _synth_utter_events
+from .dialog import Dialog, Turn, _loads, _require, _synth_utter_events
 from .errors import InvariantViolation, SchemaViolation
 from .seeding import entropy_seed
 
@@ -53,11 +53,9 @@ class GenerationBrief:
 def _strip_fences(text: str) -> str:
     text = text.strip()
     if text.startswith("```"):
-        lines = text.split("\n")
-        if lines[-1].strip().startswith("```"):
-            lines = lines[1:-1]
-        else:
-            lines = lines[1:]
+        lines = text.split("\n")[1:]
+        if lines and lines[-1].strip().startswith("```"):
+            lines.pop()
         text = "\n".join(lines).strip()
     return text
 
@@ -65,10 +63,7 @@ def _strip_fences(text: str) -> str:
 def _parse_turns(completion: str, brief: GenerationBrief) -> list[Turn]:
     allowed = {brief.speaker_a, brief.speaker_b}
     violation = functools.partial(SchemaViolation, raw=completion)
-    try:
-        doc = json.loads(_strip_fences(completion))
-    except json.JSONDecodeError as exc:
-        raise violation(f"completion is not valid JSON: {exc}") from exc
+    doc = _loads(_strip_fences(completion), violation)
     if not isinstance(doc, list):
         raise violation("completion must be a JSON array")
     turns = []

@@ -194,12 +194,11 @@ def _load(root: Path, parts: tuple[str, ...], missing: str, context: str,
 
 
 def load_dialog(root: Path, dialog_id: int) -> Dialog:
-    """Load dialogues/{id}.json, attaching scenarios/{id}.json when present."""
+    """Load dialogues/{id}.json, attaching scenarios/{id}.json, if any, via load_scenario."""
     dialog = _load(root, ("dialogues", str(dialog_id)), f"dialogue with id {dialog_id}",
                    f"dialogue {dialog_id}", read_dialog_file)
-    scenario_path = root / "scenarios" / f"{dialog_id}.json"
-    if scenario_path.is_file():
-        dialog = replace(dialog, scenario=_read_json(scenario_path, "scenario"))
+    if (root / "scenarios" / f"{dialog_id}.json").is_file():
+        dialog = replace(dialog, scenario=load_scenario(root, dialog_id).to_dict())
     return dialog
 
 
@@ -251,25 +250,21 @@ def describe_flowchart(chart: Flowchart) -> str:
         adjacency[edge.source].append(edge)
 
     steps: dict[str, int] = {}
-    lines = []
-
-    def visit(node_id: str, via: str | None) -> None:
-        steps[node_id] = len(steps) + 1
-        line = f"{steps[node_id]}. {by_id[node_id].label}"
-        if via:
-            line += f" (when {via})"
-        index = len(lines)
-        lines.append(line)
-        for edge in adjacency[node_id]:
-            if edge.target in steps:
-                if edge.label:
-                    lines[index] += f" (when {edge.label}: back to step {steps[edge.target]})"
-                else:
-                    lines[index] += f" (then back to step {steps[edge.target]})"
-            else:
-                visit(edge.target, edge.label)
-
-    visit(chart.entry.id, None)
+    lines: list[str] = []
+    # depth first: a stack of each step's edges not yet followed; a sourceless edge starts it
+    walk = [iter([ChartEdge("", chart.entry.id)])]
+    while walk:
+        edge = next(walk[-1], None)
+        if edge is None:
+            walk.pop()
+        elif edge.target in steps:  # the source's line is numbered steps[source]
+            when = f"when {edge.label}:" if edge.label else "then"
+            lines[steps[edge.source] - 1] += f" ({when} back to step {steps[edge.target]})"
+        else:
+            steps[edge.target] = len(steps) + 1
+            via = f" (when {edge.label})" if edge.label else ""
+            lines.append(f"{steps[edge.target]}. {by_id[edge.target].label}{via}")
+            walk.append(iter(adjacency[edge.target]))
     if all(adjacency[node_id] for node_id in steps):
         # cyclic with no exit: no terminal step ends the numbered walk
         lines = []

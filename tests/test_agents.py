@@ -165,6 +165,21 @@ class TestDialogWith:
         b = Agent(ScriptedBackend(["y"], cycle=True), BOB)
         assert len(a.dialog_with(b, max_turns=4)) == 4
 
+    def test_negative_id_rejected_before_the_first_move(self):
+        class Counting(ScriptedBackend):
+            calls = 0
+
+            def _complete(self, messages, params):
+                Counting.calls += 1
+                return super()._complete(messages, params)
+
+        backend = Counting(["x"], cycle=True)
+        a, b = Agent(backend, ALICE), Agent(backend, BOB)
+        with pytest.raises(InvariantViolation, match="dialog id must be non-negative"):
+            a.dialog_with(b, id=-1, max_turns=30)
+        assert Counting.calls == 0
+        assert a.dialog_with(b, id=0, max_turns=30).id == 0
+
     def test_duplicate_names_rejected(self):
         a = Agent(ScriptedBackend(["x"]), ALICE)
         b = Agent(ScriptedBackend(["y"]), Persona(name="Alice"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import socket
 import threading
 import time
@@ -311,6 +312,11 @@ class TestHttpBackend:
     def test_bad_url_rejected(self):
         with pytest.raises(ConfigError):
             HttpBackend("not a url", "m")
+        # a query or fragment would end the path before /chat/completions
+        for url in ("http://h:8000/v1?api-version=2024", "http://h:8000/v1#frag",
+                    "http://h:8000/v1?"):
+            with pytest.raises(ConfigError, match=re.escape(f"{url!r} has a query or fragment")):
+                HttpBackend(url, "m")
 
     def test_read_timeout_retried_once(self, mock):
         mock.delay = 1.0
@@ -328,7 +334,10 @@ class TestHttpBackend:
         b'{"choices": [{"message": "Hi"}]}',
         b'{"choices": [{"message": {"content": 7}}]}',
         b"\xff\xfe not utf-8",
-    ], ids=["list", "no-choice", "message-not-object", "content-not-string", "not-utf-8"])
+        b'{"choices": [{"message": {"content": "half \\ud800"}}]}',
+        b'{"choices": [{"message": {"content": "half \xed\xa0\x80"}}]}',
+    ], ids=["list", "no-choice", "message-not-object", "content-not-string", "not-utf-8",
+            "lone-surrogate-escape", "surrogate-as-utf-8-bytes"])
     def test_malformed_reply_message(self, mock, body):
         mock.behave = lambda request: ("raw", body)
         with pytest.raises(WireError) as excinfo:

@@ -91,6 +91,12 @@ class TestGenerate:
         runner.invoke(main, ["generate", "--spec", str(spec_path)])
         assert (tmp_path / "out" / "dialog_000.json").read_bytes() == first
 
+    def test_negative_id_exits_1_before_any_completion(self, runner, wire_server, wire_spec):
+        result = runner.invoke(main, ["generate", "--spec", str(wire_spec), "--id", "-1"])
+        assert result.exit_code == 1
+        assert result.stderr == "error: dialog id must be non-negative\n"
+        assert wire_server.requests == []
+
     def test_malformed_spec_exits_1(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -654,6 +660,62 @@ class TestConcurrentWireRuns:
         # a kill between write and rename leaves at most a hidden temp file
         others = {p.name for p in out.iterdir()} - {p.name for p in written}
         assert all(name.startswith(".dialog_") and name.endswith(".tmp") for name in others)
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """``dialogforge ARGS`` as a child process, whose stderr shows any traceback."""
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8", "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "dialogforge.cli", *args], env=env,
+                          capture_output=True, encoding="utf-8", timeout=120)
+
+
+class TestLoneSurrogates:
+    """A JSON escape in \\ud800-\\udfff outside a pair decodes to a string that
+    UTF-8 cannot encode; the reader rejects it instead of a later write failing."""
+
+    LONE = "half \ud800 written"  # json.dumps writes it as the escape \\ud800
+
+    def dialog_file(self, tmp_path, text):
+        path = tmp_path / "dialog.json"
+        path.write_text(json.dumps({"formatVersion": "1", "turns": [{"speaker": "A", "text": text}]}))
+        return path
+
+    def assert_clean_exit(self, result, code):
+        assert result.returncode == code, result.stderr
+        assert result.stderr.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+    def test_print_exits_1(self, tmp_path):
+        result = run_cli("print", str(self.dialog_file(tmp_path, self.LONE)))
+        self.assert_clean_exit(result, 1)
+        assert "lone surrogate" in result.stderr
+
+    def test_flow_exits_1(self, tmp_path):
+        path, out = self.dialog_file(tmp_path, self.LONE), tmp_path / "flow.dot"
+        result = run_cli("flow", str(path), "--k", "1", "--out", str(out))
+        self.assert_clean_exit(result, 1)
+        assert "lone surrogate" in result.stderr  # the warning that skips the file
+        assert not out.exists()
+
+    def test_batch_with_scripted_reply_exits_1(self, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", backend={"scripted": [self.LONE]})
+        result = run_cli("batch", "--spec", str(spec), "-n", "1")
+        self.assert_clean_exit(result, 1)
+        assert "lone surrogate" in result.stderr
+
+    def test_batch_against_server_reply_exits_2(self, wire_server, wire_spec, tmp_path):
+        body = json.dumps({"choices": [{"message": {"content": self.LONE}}]}).encode()
+        wire_server.behave = lambda request: ("raw", body)
+        result = run_cli("batch", "--spec", str(wire_spec), "-n", "1")
+        self.assert_clean_exit(result, 2)
+        assert "malformed completion response" in result.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_surrogate_pair_accepted(self, tmp_path):
+        result = run_cli("print", str(self.dialog_file(tmp_path, "smile \U0001F600")))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "A: smile \U0001F600\n"
 
 
 class TestFlowCommand:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dialogforge import ConfigError, Dialog, build_flow_graph, cluster, cosine, embed
+from dialogforge import ConfigError, Dialog, Turn, build_flow_graph, cluster, cosine, embed
 from dialogforge import flow
 from dialogforge.flow import (
     EMBED_DIM,
@@ -740,6 +740,49 @@ class TestBuildFlowGraph:
 
         with pytest.raises(ConfigError, match=r"NaN or infinity for turn 2$"):
             build_flow_graph([d], k=2, seed=0, embedder=embedder)
+
+    def test_peak_memory_stays_below_one_corpus_matrix(self):
+        # 10,400 utterances on two sides: one n x 256 float64 matrix of the
+        # whole corpus is 21 MB; one side's at a time is half of that
+        rng = random.Random(4)
+        words = [f"w{i}" for i in range(500)]
+        dialogs = [Dialog(id=i, turns=[
+            Turn("AB"[t % 2], " ".join(rng.choices(words, k=rng.randint(3, 12))))
+            for t in range(20)]) for i in range(520)]
+        n = sum(len(dialog.turns) for dialog in dialogs)
+        tracemalloc.start()
+        try:
+            build_flow_graph(dialogs, k=8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * EMBED_DIM * 8
+
+    def test_custom_embedder_sees_each_turn_once_side_by_side(self):
+        corpus = build_action_corpus(10, seed=42)
+        seen = []
+
+        def counting(text):
+            seen.append(text)
+            return embed(text)
+
+        graph = build_flow_graph(corpus, k=6, seed=3, embedder=counting)
+        assert graph == build_flow_graph(corpus, k=6, seed=3)
+        turns = [turn for dialog in corpus for turn in dialog.turns]
+        assert seen == ([t.text for t in turns if t.speaker == "Agent"]
+                        + [t.text for t in turns if t.speaker == "Client"])
+
+    def test_ragged_embedder_across_sides(self):
+        def by_side(text):
+            return np.ones(2) if text == "two" else np.ones(3)
+
+        d = (Dialog()
+             .append_utterance("A", "one", 0)
+             .append_utterance("B", "two", 1)
+             .append_utterance("A", "three", 2))
+        with pytest.raises(ConfigError,
+                           match=r"shape \(2,\) for turn 1 but \(3,\) for turn 0$"):
+            build_flow_graph([d], k=2, seed=0, embedder=by_side)
 
     def test_embedder_must_return_a_vector(self):
         d = Dialog().append_utterance("A", "one", 0)

@@ -108,6 +108,19 @@ class TestGenerateDialog:
             generate_dialog(ScriptedBackend([bad, bad]), BRIEF, seed=1)
         assert excinfo.value.raw == bad
 
+    def test_lone_surrogate_gets_the_repair_re_ask(self):
+        lone = '[{"speaker": "Customer", "text": "half \\ud800 written"}]'
+        with pytest.raises(SchemaViolation, match="lone surrogate") as excinfo:
+            generate_dialog(ScriptedBackend([lone, lone]), BRIEF, seed=1)
+        assert excinfo.value.raw == lone
+        dialog = generate_dialog(ScriptedBackend([lone, VALID_ARRAY]), BRIEF, seed=1)
+        assert dialog.turns[0].text == "One flat white, please."
+
+    def test_surrogate_pair_accepted(self):
+        pair = '[{"speaker": "Customer", "text": "smile \\ud83d\\ude00"}]'
+        dialog = generate_dialog(ScriptedBackend([pair]), BRIEF, seed=1)
+        assert dialog.turns[0].text == "smile \U0001F600"
+
     def test_fix_prompt_sent_on_repair(self):
         captured = []
 

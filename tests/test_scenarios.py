@@ -6,10 +6,12 @@ import hashlib
 import json
 import random
 import re
+import shutil
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dialogforge import (
     Capability,
@@ -106,6 +108,25 @@ class TestDatasetRoot:
         dialog = load_dialog(set_dataset_root(star_root), 101)
         assert dialog.scenario["Domains"] == ["banking"]
         dialog.validate()
+
+    def root_with_scenario(self, tmp_path, star_root, text: str) -> Path:
+        """A dataset root holding the fixture dialogue 101 and ``text`` as its scenario."""
+        for folder in ("dialogues", "scenarios"):
+            (tmp_path / folder).mkdir()
+        shutil.copy(star_root / "dialogues" / "101.json", tmp_path / "dialogues")
+        (tmp_path / "scenarios" / "101.json").write_text(text)
+        return set_dataset_root(tmp_path)
+
+    def test_load_dialog_rejects_a_broken_scenario(self, tmp_path, star_root):
+        root = self.root_with_scenario(tmp_path, star_root, '{"userTask": "x", "Happy": "no"}')
+        with pytest.raises(ParseError, match="^scenario 101: "):
+            load_dialog(root, 101)
+
+    def test_load_dialog_attaches_canonical_keys(self, tmp_path, star_root):
+        text = json.dumps({"domains": ["banking"], "userTask": "t", "happy": False})
+        dialog = load_dialog(self.root_with_scenario(tmp_path, star_root, text), 101)
+        assert dialog.scenario == {"Domains": ["banking"], "UserTask": "t", "WizardTask": "",
+                                   "Happy": False, "MultiTask": False, "WizardCapabilities": []}
 
     def test_load_dialog_not_found(self, star_root):
         with pytest.raises(NotFound):
@@ -401,6 +422,68 @@ class TestDescribeFlowchartOracle:
         assert 30 <= edge_lists <= 270
         digest = hashlib.sha256(json.dumps(renderings).encode("utf-8")).hexdigest()
         assert digest == self.DIGEST
+
+
+def describe_flowchart_recursive(chart: Flowchart) -> str:
+    """``describe_flowchart`` as first written, one recursive call per step: the
+    reference for the walk with an explicit stack."""
+    by_id = {node.id: node for node in chart.nodes}
+    adjacency: dict[str, list[ChartEdge]] = {node.id: [] for node in chart.nodes}
+    for edge in chart.edges:
+        adjacency[edge.source].append(edge)
+    steps: dict[str, int] = {}
+    lines = []
+
+    def visit(node_id: str, via: str | None) -> None:
+        steps[node_id] = len(steps) + 1
+        line = f"{steps[node_id]}. {by_id[node_id].label}"
+        if via:
+            line += f" (when {via})"
+        index = len(lines)
+        lines.append(line)
+        for edge in adjacency[node_id]:
+            if edge.target in steps:
+                if edge.label:
+                    lines[index] += f" (when {edge.label}: back to step {steps[edge.target]})"
+                else:
+                    lines[index] += f" (then back to step {steps[edge.target]})"
+            else:
+                visit(edge.target, edge.label)
+
+    visit(chart.entry.id, None)
+    if all(adjacency[node_id] for node_id in steps):
+        lines = []
+        for edge in chart.edges:
+            suffix = f" [{edge.label}]" if edge.label else ""
+            lines.append(f"{by_id[edge.source].label} -> {by_id[edge.target].label}{suffix}")
+    return "\n".join(lines)
+
+
+@st.composite
+def drawn_charts(draw) -> Flowchart:
+    """Charts of 1-8 steps with any edges: back edges, self loops, repeats, labelled
+    or not, unreachable steps and cycles without an exit."""
+    ids = [f"s{i}" for i in range(draw(st.integers(1, 8)))]
+    entry = draw(st.sampled_from(ids))
+    edge = st.builds(ChartEdge, st.sampled_from(ids), st.sampled_from(ids),
+                     st.sampled_from([None, "", "ok", "retry"]))
+    return Flowchart(task="drawn", edges=draw(st.lists(edge, max_size=16)),
+                     nodes=[ChartNode(i, f"Step {i}", entry=i == entry) for i in ids])
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_charts())
+def test_describe_flowchart_equals_the_recursive_walk(chart):
+    assert describe_flowchart(chart) == describe_flowchart_recursive(chart)
+
+
+def test_describe_flowchart_of_a_5000_step_chain():
+    ids = [f"s{i}" for i in range(5000)]
+    chart = Flowchart(task="deep", edges=[ChartEdge(a, b) for a, b in zip(ids, ids[1:])],
+                      nodes=[ChartNode(i, f"Step {i}", entry=i == "s0") for i in ids])
+    lines = describe_flowchart(chart).split("\n")
+    assert len(lines) == 5000
+    assert lines[0] == "1. Step s0" and lines[-1] == "5000. Step s4999"
 
 
 class TestAgentsForScenario:
