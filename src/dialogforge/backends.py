@@ -161,6 +161,8 @@ class HttpBackend(Backend):
         if proxy and not urllib.request.proxy_bypass(target.netloc):
             via = _split_url(proxy if "://" in proxy else f"http://{proxy}", ("http",),
                              f"proxy {proxy!r}")
+            if via.query or via.fragment:  # only the host and port would be used
+                raise ConfigError(f"proxy {proxy!r} has a query or fragment")
             address = via.hostname, via.port or 80
             if https:  # a CONNECT tunnel through the proxy, then TLS to the endpoint
                 self._tunnel = target.hostname, target.port

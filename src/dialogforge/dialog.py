@@ -252,8 +252,18 @@ def deserialize_dialog(text: str, format: Format = "structured") -> Dialog:
 
     Structured input reconstructs every field and rejects unknown format
     versions. Plain input reconstructs turns only; utter events are
-    synthesized with timestamp 0 ("unknown").
+    synthesized with timestamp 0 ("unknown"). Text that holds a lone
+    surrogate, raw or as a JSON escape, raises ParseError: UTF-8 cannot
+    encode it, so the dialog could not be written back.
     """
+    # a raw surrogate cannot come from decoding UTF-8, only from a str built in
+    # Python; ASCII text, checked by one flag read, holds none
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(
+                f"a string holds a lone surrogate, {exc.object[exc.start]!r}") from None
     if format == "structured":
         return _parse_structured(text)
     if format == "plain":

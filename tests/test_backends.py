@@ -309,7 +309,7 @@ class TestHttpBackend:
         assert result.output.startswith("error: ")
         assert len(mock.requests) == 2  # one per attempt above, none retried
 
-    def test_bad_url_rejected(self):
+    def test_bad_url_rejected(self, proxy_env):
         with pytest.raises(ConfigError):
             HttpBackend("not a url", "m")
         # a query or fragment would end the path before /chat/completions
@@ -317,6 +317,12 @@ class TestHttpBackend:
                     "http://h:8000/v1?"):
             with pytest.raises(ConfigError, match=re.escape(f"{url!r} has a query or fragment")):
                 HttpBackend(url, "m")
+        # a proxy's query or fragment would be dropped
+        for proxy in ("http://127.0.0.1:9/?x#y", "http://127.0.0.1:9/#y", "127.0.0.1:9/?x"):
+            proxy_env.setenv("http_proxy", proxy)
+            with pytest.raises(ConfigError,
+                               match=re.escape(f"proxy {proxy!r} has a query or fragment")):
+                HttpBackend("http://example.invalid/v1", "m")
 
     def test_read_timeout_retried_once(self, mock):
         mock.delay = 1.0

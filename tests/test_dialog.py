@@ -194,6 +194,26 @@ class TestDeserialization:
         with pytest.raises(ParseError):
             deserialize_dialog(json.dumps(corrupt(doc)), "structured")
 
+    @pytest.mark.parametrize("format", ["structured", "plain"])
+    def test_raw_lone_surrogate_rejected_like_its_escape(self, format):
+        raw = '{"formatVersion": "1", "turns": [{"speaker": "A", "text": "half \ud800"}]}'
+        escaped = raw.replace("\ud800", "\\ud800")
+        with pytest.raises(ParseError) as excinfo:
+            deserialize_dialog(escaped)
+        message = str(excinfo.value)
+        assert message == "a string holds a lone surrogate, '\\ud800'"
+        text = raw if format == "structured" else "A: half \ud800\n"
+        with pytest.raises(ParseError) as excinfo:
+            deserialize_dialog(text, format)
+        assert str(excinfo.value) == message
+
+    def test_surrogate_pair_reads_back(self):
+        for text in ['{"formatVersion": "1", "turns": [{"speaker": "A", "text": "\\ud83d\\ude00"}]}',
+                     '{"formatVersion": "1", "turns": [{"speaker": "A", "text": "\U0001F600"}]}']:
+            d = deserialize_dialog(text)
+            assert d.turns[0].text == "\U0001F600"
+            assert deserialize_dialog(serialize_dialog(d)) == d
+
     def test_missing_events_synthesized(self):
         doc = json.loads(serialize_dialog(two_turn_dialog(), "structured"))
         del doc["events"]
