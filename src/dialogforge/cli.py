@@ -474,10 +474,16 @@ def filter_cmd(pattern, min_turns, contains):
 @handle_errors
 def flow_cmd(pattern, k, seed, out_path):
     """Extract an action-transition graph from a dialogue corpus as DOT."""
-    dialogs = [dialog for _, dialog in _read_dialogs(pattern)]
-    if not dialogs:
-        raise ConfigError(f"no parseable dialogues match {pattern!r}")
-    graph = build_flow_graph(dialogs, k=k, seed=seed)
+
+    def dialogs():  # each file is parsed as it is read, and dropped after
+        found = False
+        for _, dialog in _read_dialogs(pattern):
+            found = True
+            yield dialog
+        if not found:
+            raise ConfigError(f"no parseable dialogues match {pattern!r}")
+
+    graph = build_flow_graph(dialogs(), k=k, seed=seed)
     out = Path(out_path)
     write_text_atomic(out, flow_to_dot(graph))
     click.echo(

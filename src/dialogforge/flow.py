@@ -6,6 +6,12 @@ per speaker side with seeded k-means, and each dialog contributes a path
 START -> node(turn_0) -> ... -> node(turn_last) -> END. Edge weights are
 transition counts with per-source-node probabilities.
 
+``build_flow_graph`` reads its dialogs once, from any iterable, keeping each
+turn's speaker and text and each dialog's turn count. A side's vectors are
+held as compressed sparse rows, one entry per non-zero; every dense step
+works on a few rows at a time. So memory grows with the larger side's
+token entries, not with its utterances times the 256 embedding buckets.
+
 The embedder contract: pass any ``text -> vector`` callable to
 ``build_flow_graph(embedder=...)`` to slot in a different encoder.
 """
@@ -19,9 +25,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .dialog import Dialog, Turn
+from .dialog import Dialog
 from .errors import ConfigError
 
 # the functions that use numpy import it, so commands that embed nothing
@@ -40,11 +47,108 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
 
-# elements of a row block in cluster(), as (rows, k, d) differences or as
-# member rows to sum: 512 KB of float64 whatever n and k are, small enough
-# to stay in a core's L2 cache between the subtraction that writes it and
-# the einsum that reads it (1 << 20 elements ran 20-30% slower on 10k-20k rows)
+# elements of a dense block: rows filled from the sparse rows, (rows, k, d)
+# differences or member rows to sum. 512 KB of float64 whatever n and k are,
+# small enough to stay in a core's L2 cache between the step that writes it
+# and the one that reads it (1 << 20 elements ran 20-30% slower on 10k-20k rows)
 _BLOCK_ELEMENTS = 1 << 16
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """An (n, d) float64 matrix as compressed sparse rows.
+
+    Row i's entries are ``indices[offsets[i]:offsets[i + 1]]`` (ascending
+    column numbers, in the smallest unsigned type that holds d - 1) and the
+    ``values`` at the same places. An entry is stored exactly when its bits
+    are not those of +0.0, so -0.0 is kept and rows are equal exactly when
+    their dense bytes are.
+    """
+
+    offsets: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    d: int
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def dense(self) -> np.ndarray:
+        import numpy as np
+
+        return _Block(self, len(self)).fill(np.arange(len(self)))
+
+
+def _join(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], d: int) -> _Rows:
+    """The rows of consecutive blocks, each given as (row lengths, indices, values)."""
+    import numpy as np
+
+    # a first block of the 0 that starts the offsets, and no entries
+    empty = np.zeros(1, np.int64), np.zeros(0, np.min_scalar_type(max(d - 1, 0))), np.zeros(0)
+    lengths, indices, values = zip(empty, *blocks)
+    return _Rows(offsets=np.concatenate(lengths).cumsum(), indices=np.concatenate(indices),
+                 values=np.concatenate(values), d=d)
+
+
+def _sparse(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row lengths, indices, values) of a dense float64 block's entries that are not +0.0."""
+    import numpy as np
+
+    block = np.ascontiguousarray(block)
+    stored = block.view(np.uint64) != 0
+    columns = np.nonzero(stored)[1].astype(np.min_scalar_type(max(block.shape[1] - 1, 0)))
+    return np.count_nonzero(stored, axis=1), columns, block[stored]
+
+
+def _as_rows(vectors: _Rows | np.ndarray) -> _Rows:
+    """``vectors`` as sparse rows: a 2-D float64 array is converted a block at a time."""
+    if isinstance(vectors, _Rows):
+        return vectors
+    step = max(1, _BLOCK_ELEMENTS // max(1, vectors.shape[1]))
+    return _join([_sparse(vectors[start:start + step])
+                  for start in range(0, len(vectors), step)], vectors.shape[1])
+
+
+class _Block:
+    """A buffer of ``height`` dense rows, refilled from sparse rows.
+
+    The buffer starts zeroed, and a fill zeroes only the entries the previous
+    fill wrote, so it costs its rows' entries, not its rows times d. Every
+    dense computation runs on rows filled here, so each sees the values of
+    the dense matrix, bit for bit."""
+
+    def __init__(self, rows: _Rows, height: int):
+        import numpy as np
+
+        self.rows = rows
+        self.buffer = np.zeros((height, rows.d))
+        self._written = np.zeros(0, np.intp)
+
+    def fill(self, chosen: Sequence[int], start: int = 0) -> np.ndarray:
+        """Buffer rows ``start`` on, set to the rows ``chosen`` in that order."""
+        import numpy as np
+
+        rows, flat = self.rows, self.buffer.reshape(-1)
+        flat[self._written] = 0.0
+        chosen = np.asarray(chosen, dtype=np.intp)
+        starts = rows.offsets[chosen]
+        lengths = rows.offsets[chosen + 1] - starts
+        # each entry's place in the store: its row's start plus its rank in the row
+        before = lengths.cumsum() - lengths
+        at = np.arange(int(lengths.sum())) + (starts - before).repeat(lengths)
+        self._written = rows.indices[at] + np.arange(
+            start * rows.d, (start + len(chosen)) * rows.d, rows.d).repeat(lengths)
+        flat[self._written] = rows.values[at]
+        return self.buffer[start:start + len(chosen)]
+
+
+def _squared_norms(rows: _Rows) -> np.ndarray:
+    """Each row's sum of squares over its stored values; every use of it
+    allows for the rounding of a sum in any order."""
+    import numpy as np
+
+    owners = np.repeat(np.arange(len(rows)), np.diff(rows.offsets))
+    return np.bincount(owners, weights=rows.values * rows.values, minlength=len(rows))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -56,17 +160,19 @@ def _bucket(token: str) -> int:
     return value % EMBED_DIM
 
 
-def _embed_rows(texts: Sequence[str]) -> np.ndarray:
-    """The ``(len(texts), EMBED_DIM)`` matrix of the texts' embeddings, row by row.
+def _embed_rows(texts: Sequence[str]) -> _Rows:
+    """The texts' embeddings as sparse rows, row by row.
 
-    A block of texts at a time: one ``np.bincount`` counts the tokens of the
-    whole block, each text's counts kept to its own row, and each row is
-    divided by the norm of its integer counts, whose sum of squares is
-    exact, so no row depends on its block. Texts without tokens give zeros.
+    A block of texts at a time: each token's key, its text's row times
+    ``EMBED_DIM`` plus its bucket, is sorted and counted, which gives each
+    row's bucket counts in ascending bucket order. A row's values are its
+    counts over the square root of their sum of squares, an exact integer,
+    so no row depends on its block and each value has the bits of the dense
+    ``counts / norm``. Texts without tokens give empty rows.
     """
     import numpy as np
 
-    out = np.empty((len(texts), EMBED_DIM))
+    blocks = []
     step = max(1, _BLOCK_ELEMENTS // EMBED_DIM)
     for start in range(0, len(texts), step):
         lengths: list[int] = []
@@ -75,13 +181,22 @@ def _embed_rows(texts: Sequence[str]) -> np.ndarray:
             tokens = _TOKEN_RE.findall(text.lower())
             lengths.append(len(tokens))
             buckets.extend(map(_bucket, tokens))
-        offsets = np.arange(0, len(lengths) * EMBED_DIM, EMBED_DIM).repeat(lengths)
-        counts = np.bincount(offsets + np.array(buckets, dtype=np.intp),
-                             minlength=len(lengths) * EMBED_DIM).reshape(-1, EMBED_DIM)
-        # a row with a token has a norm of at least 1; a row without one is 0 / 1
-        norms = np.sqrt(np.maximum(np.add.reduce(counts * counts, axis=1, keepdims=True), 1))
-        np.divide(counts, norms, out=out[start:start + step])
-    return out
+        keys = np.arange(0, len(lengths) * EMBED_DIM, EMBED_DIM).repeat(lengths)
+        keys += np.array(buckets, dtype=np.intp)
+        keys.sort()
+        # the end of each run of equal keys, and the run's length
+        last = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+        ends = np.flatnonzero(last) + 1
+        counts = ends.copy()
+        counts[1:] -= ends[:-1]
+        rows, columns = np.divmod(keys[ends - 1], EMBED_DIM)
+        squares = np.bincount(rows, weights=counts * counts, minlength=len(lengths))
+        # a row with a token has a norm of at least 1; a row without one has no entries
+        norms = np.sqrt(np.maximum(squares, 1))
+        blocks.append((np.bincount(rows, minlength=len(lengths)), columns.astype(np.uint8),
+                       counts / norms[rows]))
+    return _join(blocks, EMBED_DIM)
 
 
 def embed(text: str) -> np.ndarray:
@@ -92,7 +207,7 @@ def embed(text: str) -> np.ndarray:
     into one of 256 buckets, and normalizes the resulting term-frequency
     vector to unit length. Texts with no tokens map to the zero vector.
     """
-    return _embed_rows([text])[0]
+    return _embed_rows([text]).dense()[0]
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -112,44 +227,56 @@ class ClusterModel:
     assignments: tuple[int, ...]
 
 
-def _first_occurrences(points: np.ndarray) -> np.ndarray:
+def _first_occurrences(vectors: _Rows | np.ndarray) -> np.ndarray:
     """Index of the first occurrence of each distinct row, in input order.
 
-    Rows are equal when their bytes are (a -0.0 row differs from a 0.0 row). Each is
-    checked against the first row of its 64-bit hash; a dict of row bytes decides
-    if two distinct rows share a hash."""
+    Rows are equal when their dense bytes are (a -0.0 row differs from a 0.0
+    row), which is when their index and value bytes are. Each row is checked
+    against the first row of its 64-bit hash; a dict of row bytes decides if
+    two distinct rows share a hash."""
     import numpy as np
 
-    hashes = np.fromiter((hash(row.tobytes()) for row in points), np.int64, len(points))
+    rows = _as_rows(vectors)
+    offsets = rows.offsets.tolist()
+    width = rows.indices.itemsize
+    index_bytes = memoryview(rows.indices).cast("B")
+    value_bytes = memoryview(rows.values).cast("B")
+
+    def key(i: int) -> bytes:  # a row's m entries give m * width + 8 * m bytes
+        a, b = offsets[i], offsets[i + 1]
+        return index_bytes[a * width:b * width].tobytes() + value_bytes[8 * a:8 * b].tobytes()
+
+    n = len(rows)
+    hashes = np.fromiter((hash(key(i)) for i in range(n)), np.int64, n)
     _, first, group = np.unique(hashes, return_index=True, return_inverse=True)
-    repeats = np.flatnonzero(first[group] != np.arange(len(points)))
-    step = max(1, _BLOCK_ELEMENTS // max(1, points.shape[1]))
-    blocks = (repeats[start:start + step] for start in range(0, len(repeats), step))
-    if all(points[rows].tobytes() == points[first[group[rows]]].tobytes() for rows in blocks):
+    repeats = np.flatnonzero(first[group] != np.arange(n))
+    if all(key(i) == key(j) for i, j in zip(repeats.tolist(), first[group[repeats]].tolist())):
         return np.sort(first)
     first_of: dict[bytes, int] = {}
-    for i, row in enumerate(points):
-        first_of.setdefault(row.tobytes(), i)
+    for i in range(n):
+        first_of.setdefault(key(i), i)
     return np.fromiter(first_of.values(), np.intp)
 
 
-def _mean_of_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``points[rows].mean(axis=0)`` to the bit, gathering a block of rows at a time
-    into a buffer below the sum so far: numpy sums the rows of a matrix two or more
-    columns wide in order, so the sum so far put above the next block continues it.
-    One column, summed pairwise, is one block."""
+def _mean_of_rows(rows: _Rows, members: np.ndarray) -> np.ndarray:
+    """The mean of the dense ``members`` rows, ``mean(axis=0)`` to the bit,
+    filling a block of rows at a time into a buffer below the sum so far:
+    numpy sums the rows of a matrix two or more columns wide in order, so the
+    sum so far put above the next block continues it. One column, summed
+    pairwise, is one block. Every sum, a lone member's too, is numpy's, which
+    turns a column of -0.0 into +0.0 as ``mean`` does."""
     import numpy as np
 
-    d = points.shape[1]
-    step = max(1, _BLOCK_ELEMENTS // d) if d > 1 else len(rows)
-    buffer = np.empty((min(step, len(rows) - 1) + 1, d))
-    buffer[0] = points[rows[0]]
-    for start in range(1, len(rows), step):
-        block = rows[start:start + step]
-        # the rows are valid indices; "clip" lets take() write to the buffer unbuffered
-        np.take(points, block, axis=0, out=buffer[1:len(block) + 1], mode="clip")
-        buffer[0] = np.add.reduce(buffer[:len(block) + 1], axis=0)
-    return buffer[0] / len(rows)
+    d = rows.d
+    step = max(1, _BLOCK_ELEMENTS // d) if d > 1 else len(members)
+    block = _Block(rows, min(step, len(members)) + 1)
+    buffer = block.buffer
+    for start in range(0, len(members), step):
+        chunk = members[start:start + step]
+        block.fill(chunk, start=1)
+        # the first chunk has no sum above it
+        buffer[0] = np.add.reduce(buffer[0 if start else 1:len(chunk) + 1], axis=0)
+    return buffer[0] / len(members)
 
 
 def _gamma(n: int) -> float:
@@ -184,16 +311,18 @@ def _recheck_tolerance(d: int, row_sq: float, centroid_sq: float) -> float:
     return 2.0 * (4.0 * gamma * reach * reach + 4.0 * (d + 4) * 2.0**-1022)
 
 
-def _products(points: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """``points @ others.T``, a block of rows at a time: one product over
-    every row lets a threaded BLAS allocate buffers that raise the peak RSS
-    of ``flow`` by a fifth."""
+def _products(rows: _Rows, others: np.ndarray) -> np.ndarray:
+    """The dense rows times ``others.T``, one filled block of rows at a time:
+    one product over every row would also let a threaded BLAS allocate
+    buffers that raise the peak RSS of ``flow`` by a fifth."""
     import numpy as np
 
-    out = np.empty((len(points), len(others)))
-    step = max(1, _BLOCK_ELEMENTS // max(1, points.shape[1]))
-    for start in range(0, len(points), step):
-        np.matmul(points[start:start + step], others.T, out=out[start:start + step])
+    out = np.empty((len(rows), len(others)))
+    step = max(1, _BLOCK_ELEMENTS // max(1, rows.d))
+    block = _Block(rows, min(step, len(rows)))
+    for start in range(0, len(rows), step):
+        dense = block.fill(np.arange(start, min(start + step, len(rows))))
+        np.matmul(dense, others.T, out=out[start:start + step])
     return out
 
 
@@ -201,34 +330,41 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
     """Seeded Lloyd k-means with deterministic tie-breaking.
 
     ``vectors`` is an (n, d) array or a sequence of n vectors of equal
-    length, all finite; a float64 array is used as it is, not copied. Initial
-    centroids are drawn without replacement from the distinct input vectors;
-    assignment ties break toward the lowest cluster index; iteration stops
-    when assignments stabilize or after 100 rounds. An empty cluster is
-    repaired by stealing the point farthest from its own centroid.
+    length, all finite; it is held as sparse rows, so memory grows with its
+    non-zero entries. Initial centroids are drawn without replacement from
+    the distinct input vectors; assignment ties break toward the lowest
+    cluster index; iteration stops when assignments stabilize or after 100
+    rounds. An empty cluster is repaired by stealing the point farthest
+    from its own centroid.
 
     Each round computes every squared distance as ||x||^2 - 2 x.c + ||c||^2,
-    with one matrix product a block of rows at a time and einsum norms. A
-    row keeps the argmin of those only when its two smallest are further
-    apart than their rounding error, summed in any order, can explain
-    (``_recheck_tolerance``); every other row, and
-    every row of a round that repairs an empty cluster, gets the sums of
-    squared differences, a block of rows at a time. The assignments and
-    centroids are those of sums of squared differences for every row, bit
-    for bit, and memory grows with n*(d + k), not n*k*d.
+    with one matrix product a block of rows at a time. A row keeps the
+    argmin of those only when its two smallest are further apart than their
+    rounding error, summed in any order, can explain
+    (``_recheck_tolerance``); every other row, and every row of a round that
+    repairs an empty cluster, gets the sums of squared differences, a block
+    of rows at a time. The assignments and centroids are those of sums of
+    squared differences for every dense row, bit for bit, and memory beyond
+    the rows grows with n*k, not n*k*d.
     """
     import numpy as np
 
     if k <= 0:
         raise ConfigError("k must be positive")
-    try:
-        points = np.asarray(vectors, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cluster() needs numeric vectors of one length: {exc}") from exc
-    if points.ndim != 2 or len(points) == 0:
+    if not isinstance(vectors, _Rows):
+        try:
+            dense = np.asarray(vectors, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"cluster() needs numeric vectors of one length: {exc}") from exc
+        if dense.ndim != 2:
+            raise ConfigError("cluster() needs a non-empty list of vectors")
+        vectors = _as_rows(dense)
+    points = vectors
+    if len(points) == 0:
         raise ConfigError("cluster() needs a non-empty list of vectors")
     # min and max are NaN if any entry is, so max() keeps it
-    magnitude = max(-float(points.min(initial=0.0)), float(points.max(initial=0.0)))
+    values = points.values
+    magnitude = max(-float(values.min(initial=0.0)), float(values.max(initial=0.0)))
     if not math.isfinite(magnitude):
         raise ConfigError("cluster() needs finite vectors; got NaN or infinity")
 
@@ -236,21 +372,22 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
     if k > len(distinct_rows):
         raise ConfigError(f"k={k} exceeds the {len(distinct_rows)} distinct input vectors")
 
+    n, d = len(points), points.d
     rng = random.Random(seed)
     chosen = rng.sample(range(len(distinct_rows)), k)
-    centroids = points[[distinct_rows[c] for c in chosen]].copy()
+    centroids = _Block(points, k).fill([distinct_rows[c] for c in chosen])
 
-    n, d = points.shape
-    block = max(1, _BLOCK_ELEMENTS // max(1, k * d))
-    row_sq = np.einsum("ij,ij->i", points, points)
+    step = max(1, _BLOCK_ELEMENTS // max(1, k * d))
+    block = _Block(points, min(step, n))
+    row_sq = _squared_norms(points)
     largest_row_sq = float(row_sq.max())
 
     def exact_argmin(distances: np.ndarray, rows: np.ndarray) -> np.ndarray:
         # rewrites the rows' squared distances as sums of squared differences;
         # ties go to the lowest index
-        for start in range(0, len(rows), block):
-            chunk = rows[start:start + block]
-            deltas = points[chunk, None, :] - centroids[None, :, :]
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            deltas = block.fill(chunk)[:, None, :] - centroids[None, :, :]
             distances[chunk] = np.einsum("nkd,nkd->nk", deltas, deltas)
         return distances[rows].argmin(axis=1)
 
@@ -340,16 +477,17 @@ def validate_flow_graph(graph: FlowGraph) -> None:
             raise ConfigError(f"outgoing probabilities of {source} sum to {total}")
 
 
-def _medoid(indices: list[int], vectors: np.ndarray, mean_vector: np.ndarray,
+def _medoid(indices: list[int], rows: _Rows, mean_vector: np.ndarray,
             dots: np.ndarray, squared_norms: np.ndarray) -> int:
     """Member index with maximal ``cosine`` to the cluster mean (ties: first).
 
     ``dots`` and ``squared_norms`` hold each member's product with the mean
     and its squared norm, computed over many rows at once. The cosine they
     give is within rounding of the member's ``cosine``, so only the members
-    that could be the best by it are scored with it. A member or mean whose
-    norm is outside [1e-140, 1e140], where underflow or overflow could break
-    that bound, is always scored; so is every member of a zero mean.
+    that could be the best by it are scored with it, on dense rows filled a
+    block at a time. A member or mean whose norm is outside [1e-140, 1e140],
+    where underflow or overflow could break that bound, is always scored; so
+    is every member of a zero mean.
     """
     import numpy as np
 
@@ -363,9 +501,17 @@ def _medoid(indices: list[int], vectors: np.ndarray, mean_vector: np.ndarray,
     if not 1e-140 <= mean_norm <= 1e140:
         bounded[:] = False
     best = float(scores[bounded].max(initial=-np.inf))
-    candidates = np.flatnonzero(~bounded | (scores >= best - 2.0 * slack))
-    return max((indices[i] for i in candidates),
-               key=lambda i: cosine(vectors[i], mean_vector))
+    members = np.asarray(indices)[np.flatnonzero(~bounded | (scores >= best - 2.0 * slack))]
+    step = max(1, _BLOCK_ELEMENTS // max(1, rows.d))
+    block = _Block(rows, min(step, len(members)))
+
+    def scored():
+        for start in range(0, len(members), step):
+            chunk = members[start:start + step]
+            for member, row in zip(chunk.tolist(), block.fill(chunk)):
+                yield cosine(row, mean_vector), member
+
+    return max(scored(), key=itemgetter(0))[1]
 
 
 def _transition_graph(
@@ -391,70 +537,88 @@ def _transition_graph(
     return FlowGraph(nodes=tuple(sorted([*nodes, *ends], key=lambda n: n.id)), edges=edges)
 
 
-def _embed_turns(turns: Sequence[Turn], indices: Sequence[int],
-                 embedder: Callable[[str], np.ndarray], shape: tuple | None) -> np.ndarray:
-    """Row j is turn ``indices[j]``'s vector; ``shape``, turn 0's, is None if turn 0 is first."""
+def _embed_side(texts: Sequence[str], embedder: Callable[[str], np.ndarray],
+                shape: tuple | None, turn_of: Callable[[int], int]) -> _Rows:
+    """The texts' vectors as sparse rows; a custom embedder's go in a block at a time.
+
+    ``shape`` is turn 0's, None if turn 0 is the first text; ``turn_of(j)``
+    is the corpus turn number of text j, for messages."""
     import numpy as np
 
     if embedder is embed:
-        return _embed_rows([turns[i].text for i in indices])
-    for row, i in enumerate(indices):
-        vector = np.asarray(embedder(turns[i].text))
+        return _embed_rows(texts)
+    blocks = []
+    for j, text in enumerate(texts):
+        vector = np.asarray(embedder(text))
         shape = shape or vector.shape
         if len(shape) != 1:
             raise ConfigError(f"embedder returned shape {shape} for turn 0; "
                               "a vector must be 1-D")
         if vector.shape != shape:
-            raise ConfigError(f"embedder returned shape {vector.shape} for turn {i} "
+            raise ConfigError(f"embedder returned shape {vector.shape} for turn {turn_of(j)} "
                               f"but {shape} for turn 0")
         if not np.isfinite(vector).all():
-            raise ConfigError(f"embedder returned NaN or infinity for turn {i}")
-        if row == 0:
-            vectors = np.empty((len(indices), *shape))
-        vectors[row] = vector
-    return vectors
+            raise ConfigError(f"embedder returned NaN or infinity for turn {turn_of(j)}")
+        if j == 0:
+            step = max(1, _BLOCK_ELEMENTS // max(1, shape[0]))
+            buffer = np.empty((min(step, len(texts)), *shape))
+        buffer[j % step] = vector
+        if j % step == len(buffer) - 1 or j == len(texts) - 1:
+            blocks.append(_sparse(buffer[:j % step + 1]))
+    return _join(blocks, shape[0])
 
 
 def build_flow_graph(
-    dialogs: Sequence[Dialog],
+    dialogs: Iterable[Dialog],
     k: int,
     seed: int,
     embedder: Callable[[str], np.ndarray] = embed,
 ) -> FlowGraph:
     """Extract the action-transition graph of a corpus.
 
-    Utterances are partitioned by speaker side (the corpus must contain at
-    most two speaker names) and clustered separately: the first-appearing
-    side receives ceil(k/2) clusters and the other floor(k/2). ``k`` is
-    the abstraction knob: higher k, finer-grained action nodes.
+    ``dialogs`` is read once, in order. Utterances are partitioned by
+    speaker side (the corpus must contain at most two speaker names) and
+    clustered separately: the first-appearing side receives ceil(k/2)
+    clusters and the other floor(k/2). ``k`` is the abstraction knob:
+    higher k, finer-grained action nodes.
     """
-    import numpy as np
+    side_of: dict[str, int] = {}
+    texts: tuple[list[str], list[str]] = ([], [])
+    order = bytearray()  # each turn's side
+    lengths: list[int] = []  # each dialog's turn count
+    for dialog in dialogs:
+        lengths.append(len(dialog.turns))
+        for turn in dialog.turns:
+            side = side_of.setdefault(turn.speaker, len(side_of))
+            if side < 2:  # a third speaker is refused below
+                texts[side].append(turn.text)
+                order.append(side)
 
-    if not dialogs:
+    if not lengths:
         raise ConfigError("corpus is empty")
-
-    turns = [turn for dialog in dialogs for turn in dialog.turns]
-    sides = list(dict.fromkeys(turn.speaker for turn in turns))
+    sides = list(side_of)
     if len(sides) > 2:
         raise ConfigError(f"corpus has {len(sides)} speaker names; at most 2 supported")
-    if not turns:
+    if not order:
         raise ConfigError("corpus has no turns")
     if k < len(sides):
         raise ConfigError(f"k={k} is below the number of speaker sides ({len(sides)})")
     side_ks = [k] if len(sides) == 1 else [math.ceil(k / 2), math.floor(k / 2)]
 
-    members = [[i for i, turn in enumerate(turns) if turn.speaker == side] for side in sides]
-    node_of = [""] * len(turns)
+    def turn_of(side_index: int) -> Callable[[int], int]:
+        return lambda j: [i for i, s in enumerate(order) if s == side_index][j]
+
+    assignments: list[tuple[int, ...]] = []
     nodes: list[FlowNode] = []
     shape = None
-    for side_index, (side, indices) in enumerate(zip(sides, members)):
-        vectors = _embed_turns(turns, indices, embedder, shape)
-        shape = vectors.shape[1:]
+    for side_index, side in enumerate(sides):
+        rows = _embed_side(texts[side_index], embedder, shape, turn_of(side_index))
+        shape = (rows.d,)
         try:
-            model = cluster(vectors, side_ks[side_index], seed=seed + side_index)
+            model = cluster(rows, side_ks[side_index], seed=seed + side_index)
         except ConfigError as exc:
-            distinct = [len(_first_occurrences(_embed_turns(turns, rows, embedder, shape)))
-                        for rows in members]
+            distinct = [len(_first_occurrences(_embed_side(texts[s], embedder, shape, turn_of(s))))
+                        for s in range(len(sides))]
             largest = distinct[0]
             if len(sides) == 2:  # sides get ceil(k/2) and floor(k/2) clusters
                 largest = min(2 * distinct[0], 2 * distinct[1] + 1)
@@ -465,21 +629,25 @@ def build_flow_graph(
             ) from exc
         groups: dict[int, list[int]] = {}
         for j, cluster_id in enumerate(model.assignments):
-            node_of[indices[j]] = f"s{side_index}c{cluster_id}"
             groups.setdefault(cluster_id, []).append(j)
         # each final centroid is its members' mean, bit for bit
-        dots = _products(vectors, model.centroids)
-        squared_norms = np.einsum("ij,ij->i", vectors, vectors)
+        dots = _products(rows, model.centroids)
+        squared_norms = _squared_norms(rows)
         for cluster_id, group in sorted(groups.items()):
-            medoid = _medoid(group, vectors, model.centroids[cluster_id],
+            medoid = _medoid(group, rows, model.centroids[cluster_id],
                              dots[group, cluster_id], squared_norms[group])
             nodes.append(FlowNode(id=f"s{side_index}c{cluster_id}", speaker_side=side,
-                                  label=turns[indices[medoid]].text[:40], size=len(group)))
-        del vectors, dots  # freed before the next side's matrix is built
+                                  label=texts[side_index][medoid][:40], size=len(group)))
+        assignments.append(model.assignments)
+        del rows, dots  # freed before the next side's rows are built
 
-    bounds = list(accumulate((len(dialog.turns) for dialog in dialogs), initial=0))
+    # each turn's node id, taking each side's assignments in turn order
+    ids = [map([f"s{s}c{c}" for c in range(side_k)].__getitem__, side_assignments)
+           for s, (side_k, side_assignments) in enumerate(zip(side_ks, assignments))]
+    node_of = [next(ids[side]) for side in order]
+    bounds = list(accumulate(lengths, initial=0))
     paths = [[START_NODE, *node_of[a:b], END_NODE] for a, b in zip(bounds, bounds[1:])]
-    return _transition_graph(nodes, paths, end_size=len(dialogs))
+    return _transition_graph(nodes, paths, end_size=len(lengths))
 
 
 def _dot_escape(text: str) -> str:

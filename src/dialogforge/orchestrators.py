@@ -194,7 +194,7 @@ class SimpleResponseOrchestrator(Orchestrator):
         self.candidates = list(candidates)
         self.top_k = top_k
         # one block embedding, row for row the bits of embed(candidate)
-        self._vectors = _embed_rows(self.candidates)
+        self._vectors = _embed_rows(self.candidates).dense()
 
     def instruct(self, dialog: Sequence[Turn], utterance: str | None):
         if utterance is None:

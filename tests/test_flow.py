@@ -126,10 +126,50 @@ def test_embedding_rows_equal_embed_of_each_text(texts, budget, rng):
     # the texts in a shuffled order, a few to a block
     texts = rng.sample(texts, len(texts))
     with mock.patch.object(flow, "_BLOCK_ELEMENTS", budget):
-        matrix = flow._embed_rows(texts)
+        matrix = flow._embed_rows(texts).dense()
     assert matrix.dtype == np.float64 and matrix.shape == (len(texts), EMBED_DIM)
     for text, row in zip(texts, matrix):
         assert row.tobytes() == embed_one_add_per_token(text).tobytes()
+
+
+def dense_embed_rows_before(texts):
+    """_embed_rows as it was before sparse rows: one dense bincount block of texts at a time."""
+    out = np.empty((len(texts), EMBED_DIM))
+    step = max(1, flow._BLOCK_ELEMENTS // EMBED_DIM)
+    for start in range(0, len(texts), step):
+        lengths, buckets = [], []
+        for text in texts[start:start + step]:
+            tokens = flow._TOKEN_RE.findall(text.lower())
+            lengths.append(len(tokens))
+            buckets.extend(map(flow._bucket, tokens))
+        offsets = np.arange(0, len(lengths) * EMBED_DIM, EMBED_DIM).repeat(lengths)
+        counts = np.bincount(offsets + np.array(buckets, dtype=np.intp),
+                             minlength=len(lengths) * EMBED_DIM).reshape(-1, EMBED_DIM)
+        norms = np.sqrt(np.maximum(np.add.reduce(counts * counts, axis=1, keepdims=True), 1))
+        np.divide(counts, norms, out=out[start:start + step])
+    return out
+
+
+def assert_well_formed(rows, dense):
+    """``rows`` holds exactly the entries of ``dense`` that are not +0.0,
+    in ascending column order, with byte-wide indices at d=256."""
+    assert rows.offsets.dtype == np.int64 and rows.values.dtype == np.float64
+    assert rows.indices.dtype == (np.uint8 if rows.d <= 256 else rows.indices.dtype)
+    assert rows.offsets[0] == 0 and rows.offsets[-1] == len(rows.values) == len(rows.indices)
+    for i in range(len(rows)):
+        columns = rows.indices[rows.offsets[i]:rows.offsets[i + 1]]
+        assert np.all(np.diff(columns.astype(np.int64)) > 0)
+        assert list(columns) == list(np.flatnonzero(dense[i].view(np.uint64)))
+    assert rows.dense().tobytes() == dense.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(EMBED_WORDS, max_size=8).map(" ".join), min_size=1, max_size=40))
+@example(["\u0130", "\u212a", "\u212aelvin \u0130stanbul", "", "open OPEN open", "!!!"])
+def test_embedding_store_expands_to_the_dense_rows_before(texts):
+    rows = flow._embed_rows(texts)
+    assert len(rows) == len(texts) and rows.d == EMBED_DIM
+    assert_well_formed(rows, dense_embed_rows_before(texts))
 
 
 class TestCluster:
@@ -492,6 +532,56 @@ def test_repairs_read_exact_distances(case):
     assert_equals_reference(*case)
 
 
+@st.composite
+def sparse_points(draw):
+    """Small-integer rows that are mostly zeros, as the sparse store sees
+    them: rows of +0.0 only, duplicate rows, and -0.0 entries, which the
+    store keeps and a row of +0.0 does not have."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    points = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+    points[rng.random((n, d)) < 0.6] = 0.0
+    points[(points == 0.0) & (rng.random((n, d)) < 0.3)] = -0.0
+    points[rng.random(n) < 0.2] = 0.0
+    points = np.concatenate([points, points[rng.integers(0, n, size=n // 2)]])
+    k = draw(st.integers(1, min(6, len({row.tobytes() for row in points}))))
+    # None keeps the module's block budget; small budgets give blocks of a few rows
+    return points, k, draw(st.integers(0, 1000)), draw(st.one_of(st.none(), st.integers(1, 64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_points())
+@example((np.array([[0.0, 1.0], [-0.0, 1.0], [5.0, 5.0], [0.0, 1.0]]), 3, 0, None))
+@example((np.array([[0.0], [-0.0], [0.0], [-0.0], [2.0]]), 3, 1, 1))
+@example((np.array([[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), 4, 2, 2))
+@example((np.array(LATE_REPAIRS[0][0]), *LATE_REPAIRS[0][1:], 2))
+@example((np.array(LATE_REPAIRS[5][0]), *LATE_REPAIRS[5][1:], None))
+def test_cluster_on_sparse_rows_equals_dense_reference(case):
+    points, k, seed, budget = case
+    expected_assignments, expected_centroids = reference_cluster(points, k, seed)
+    with mock.patch.object(flow, "_BLOCK_ELEMENTS", budget or flow._BLOCK_ELEMENTS):
+        rows = flow._as_rows(points)
+        assert_well_formed(rows, points)
+        model = cluster(rows, k, seed=seed)
+    assert model.assignments == expected_assignments
+    assert model.centroids.tobytes() == expected_centroids.tobytes()
+
+
+def test_numpy_sums_the_rows_of_a_block_in_order_and_one_column_pairwise():
+    # _mean_of_rows and the block sums rely on this: in order, 1e16 absorbs
+    # each 1.0 until -1e16 cancels it, leaving the last 1.0; pairwise, the
+    # 1.0s are summed apart from 1e16
+    column = [1e16] + [1.0] * 7 + [-1e16, 1.0]
+    block = np.array([column, column]).T.copy()
+    assert block.flags.c_contiguous
+    assert np.add.reduce(block, axis=0).tolist() == [1.0, 1.0]
+    assert np.add.reduce(np.array(column)) == 7.0
+    assert np.add.reduce(np.array(column)[:, None], axis=0).tolist() == [7.0]
+    # and a sum starts where mean() starts: a column of -0.0 sums to +0.0
+    for zeros in (np.full((1, 2), -0.0), np.full((3, 2), -0.0), np.full((3, 1), -0.0)):
+        assert np.add.reduce(zeros, axis=0).tobytes() == zeros.mean(axis=0).tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 300), st.integers(1, 64))
 def test_mean_of_rows_equals_numpy_mean(seed, d, n, budget):
@@ -501,7 +591,7 @@ def test_mean_of_rows_equals_numpy_mean(seed, d, n, budget):
     points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
     rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
     with mock.patch.object(flow, "_BLOCK_ELEMENTS", budget):
-        mean = flow._mean_of_rows(points, rows)
+        mean = flow._mean_of_rows(flow._as_rows(points), rows)
     assert mean.tobytes() == points[rows].mean(axis=0).tobytes()
 
 
@@ -757,6 +847,44 @@ class TestBuildFlowGraph:
         finally:
             tracemalloc.stop()
         assert peak < n * EMBED_DIM * 8
+
+    def test_peak_memory_follows_the_token_entries(self):
+        # the same corpus: 76k token entries (a text's distinct buckets) on
+        # its two sides. The sparse rows take 9 bytes an entry and twice that
+        # while built; each turn, with 3 to 12 tokens, adds its text's place
+        # in a side list, its side, its node id and its place in a path. The
+        # fixed part is four block buffers: filled rows, differences, member
+        # sums and medoid rows.
+        rng = random.Random(4)
+        words = [f"w{i}" for i in range(500)]
+        dialogs = [Dialog(id=i, turns=[
+            Turn("AB"[t % 2], " ".join(rng.choices(words, k=rng.randint(3, 12))))
+            for t in range(20)]) for i in range(520)]
+        texts = [turn.text for dialog in dialogs for turn in dialog.turns]
+        entries = len(flow._embed_rows(texts).values)
+        tracemalloc.start()
+        try:
+            build_flow_graph(dialogs, k=8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * entries + 4 * flow._BLOCK_ELEMENTS * 8
+
+    def test_a_generator_of_dialogs_is_read_once(self):
+        corpus = build_action_corpus(10, seed=42)
+        read = []
+
+        def stream():
+            for dialog in corpus:
+                read.append(dialog)
+                yield dialog
+
+        dialogs = stream()
+        graph = build_flow_graph(dialogs, k=6, seed=3)
+        assert read == corpus and next(dialogs, None) is None
+        assert flow_to_dot(graph) == flow_to_dot(build_flow_graph(corpus, k=6, seed=3))
+        with pytest.raises(ConfigError, match="corpus is empty"):
+            build_flow_graph(iter([]), k=2, seed=0)
 
     def test_custom_embedder_sees_each_turn_once_side_by_side(self):
         corpus = build_action_corpus(10, seed=42)
