@@ -74,9 +74,7 @@ class _Rows:
         return len(self.offsets) - 1
 
     def dense(self) -> np.ndarray:
-        import numpy as np
-
-        return _Block(self, len(self)).fill(np.arange(len(self)))
+        return _Block(self, len(self)).fill(slice(0, len(self)))
 
 
 def _join(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], d: int) -> _Rows:
@@ -124,22 +122,27 @@ class _Block:
         self.buffer = np.zeros((height, rows.d))
         self._written = np.zeros(0, np.intp)
 
-    def fill(self, chosen: Sequence[int], start: int = 0) -> np.ndarray:
+    def fill(self, chosen: Sequence[int] | slice, start: int = 0) -> np.ndarray:
         """Buffer rows ``start`` on, set to the rows ``chosen`` in that order."""
         import numpy as np
 
         rows, flat = self.rows, self.buffer.reshape(-1)
         flat[self._written] = 0.0
-        chosen = np.asarray(chosen, dtype=np.intp)
-        starts = rows.offsets[chosen]
-        lengths = rows.offsets[chosen + 1] - starts
-        # each entry's place in the store: its row's start plus its rank in the row
-        before = lengths.cumsum() - lengths
-        at = np.arange(int(lengths.sum())) + (starts - before).repeat(lengths)
+        if isinstance(chosen, slice):  # consecutive rows, whose entries are consecutive too
+            lengths = np.diff(rows.offsets[chosen.start:chosen.stop + 1])
+            at = slice(rows.offsets[chosen.start], rows.offsets[chosen.stop])
+        else:
+            chosen = np.asarray(chosen, dtype=np.intp)
+            starts = rows.offsets[chosen]
+            lengths = rows.offsets[chosen + 1] - starts
+            # each entry's place in the store: its row's start plus its rank in the row
+            before = lengths.cumsum() - lengths
+            at = np.arange(int(lengths.sum())) + (starts - before).repeat(lengths)
+        end = start + len(lengths)
         self._written = rows.indices[at] + np.arange(
-            start * rows.d, (start + len(chosen)) * rows.d, rows.d).repeat(lengths)
+            start * rows.d, end * rows.d, rows.d).repeat(lengths)
         flat[self._written] = rows.values[at]
-        return self.buffer[start:start + len(chosen)]
+        return self.buffer[start:end]
 
 
 def _squared_norms(rows: _Rows) -> np.ndarray:
@@ -321,7 +324,7 @@ def _products(rows: _Rows, others: np.ndarray) -> np.ndarray:
     step = max(1, _BLOCK_ELEMENTS // max(1, rows.d))
     block = _Block(rows, min(step, len(rows)))
     for start in range(0, len(rows), step):
-        dense = block.fill(np.arange(start, min(start + step, len(rows))))
+        dense = block.fill(slice(start, min(start + step, len(rows))))
         np.matmul(dense, others.T, out=out[start:start + step])
     return out
 
