@@ -354,15 +354,16 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
 
     if k <= 0:
         raise ConfigError("k must be positive")
-    if not isinstance(vectors, _Rows):
+    if isinstance(vectors, _Rows):
+        points = vectors
+    else:
         try:
             dense = np.asarray(vectors, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"cluster() needs numeric vectors of one length: {exc}") from exc
         if dense.ndim != 2:
             raise ConfigError("cluster() needs a non-empty list of vectors")
-        vectors = _as_rows(dense)
-    points = vectors
+        points = _as_rows(dense)
     if len(points) == 0:
         raise ConfigError("cluster() needs a non-empty list of vectors")
     # min and max are NaN if any entry is, so max() keeps it
@@ -550,7 +551,7 @@ def _embed_side(texts: Sequence[str], embedder: Callable[[str], np.ndarray],
 
     if embedder is embed:
         return _embed_rows(texts)
-    blocks = []
+    blocks, pending = [], []
     for j, text in enumerate(texts):
         vector = np.asarray(embedder(text))
         shape = shape or vector.shape
@@ -562,12 +563,10 @@ def _embed_side(texts: Sequence[str], embedder: Callable[[str], np.ndarray],
                               f"but {shape} for turn 0")
         if not np.isfinite(vector).all():
             raise ConfigError(f"embedder returned NaN or infinity for turn {turn_of(j)}")
-        if j == 0:
-            step = max(1, _BLOCK_ELEMENTS // max(1, shape[0]))
-            buffer = np.empty((min(step, len(texts)), *shape))
-        buffer[j % step] = vector
-        if j % step == len(buffer) - 1 or j == len(texts) - 1:
-            blocks.append(_sparse(buffer[:j % step + 1]))
+        pending.append(vector.astype(np.float64))  # a copy: the embedder may reuse its array
+        if len(pending) * max(1, shape[0]) >= _BLOCK_ELEMENTS or j == len(texts) - 1:
+            blocks.append(_sparse(np.array(pending)))
+            pending.clear()
     return _join(blocks, shape[0])
 
 

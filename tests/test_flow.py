@@ -900,6 +900,17 @@ class TestBuildFlowGraph:
         assert seen == ([t.text for t in turns if t.speaker == "Agent"]
                         + [t.text for t in turns if t.speaker == "Client"])
 
+    def test_embedder_may_reuse_its_array(self):
+        corpus = build_action_corpus(10, seed=42)
+        out = np.zeros(EMBED_DIM)
+
+        def reusing(text):
+            out[:] = embed(text)
+            return out
+
+        graph = build_flow_graph(corpus, k=6, seed=3, embedder=reusing)
+        assert graph == build_flow_graph(corpus, k=6, seed=3)
+
     def test_ragged_embedder_across_sides(self):
         def by_side(text):
             return np.ones(2) if text == "two" else np.ones(3)
