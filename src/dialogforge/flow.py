@@ -210,7 +210,17 @@ def embed(text: str) -> np.ndarray:
     into one of 256 buckets, and normalizes the resulting term-frequency
     vector to unit length. Texts with no tokens map to the zero vector.
     """
-    return _embed_rows([text]).dense()[0]
+    import numpy as np
+
+    # one text's few buckets, counted without numpy's per-call cost; the
+    # integer sum of squares, its sqrt and each division round as in
+    # _embed_rows, so the bits are the same
+    counts = Counter(map(_bucket, _TOKEN_RE.findall(text.lower())))
+    norm = math.sqrt(max(sum(count * count for count in counts.values()), 1))
+    vector = np.zeros(EMBED_DIM)
+    for bucket, count in counts.items():
+        vector[bucket] = count / norm
+    return vector
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
