@@ -73,9 +73,6 @@ class _Rows:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def dense(self) -> np.ndarray:
-        return _Block(self, len(self)).fill(slice(0, len(self)))
-
 
 def _join(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], d: int) -> _Rows:
     """The rows of consecutive blocks, each given as (row lengths, indices, values)."""

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .agents import END_MARKER
 from .errors import ConfigError
-from .flow import _embed_rows, cosine, embed
+from .flow import cosine, embed
 
 if TYPE_CHECKING:
     from .agents import Agent
@@ -193,8 +193,7 @@ class SimpleResponseOrchestrator(Orchestrator):
             raise ConfigError(f"top_k must be in [1, {len(candidates)}], got {top_k}")
         self.candidates = list(candidates)
         self.top_k = top_k
-        # one block embedding, row for row the bits of embed(candidate)
-        self._vectors = _embed_rows(self.candidates).dense()
+        self._vectors = [embed(candidate) for candidate in self.candidates]
 
     def instruct(self, dialog: Sequence[Turn], utterance: str | None):
         if utterance is None:

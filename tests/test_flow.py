@@ -126,7 +126,7 @@ def test_embedding_rows_equal_embed_of_each_text(texts, budget, rng):
     # the texts in a shuffled order, a few to a block
     texts = rng.sample(texts, len(texts))
     with mock.patch.object(flow, "_BLOCK_ELEMENTS", budget):
-        matrix = flow._embed_rows(texts).dense()
+        matrix = dense(flow._embed_rows(texts))
     assert matrix.dtype == np.float64 and matrix.shape == (len(texts), EMBED_DIM)
     for text, row in zip(texts, matrix):
         assert row.tobytes() == embed_one_add_per_token(text).tobytes()
@@ -150,8 +150,13 @@ def dense_embed_rows_before(texts):
     return out
 
 
-def assert_well_formed(rows, dense):
-    """``rows`` holds exactly the entries of ``dense`` that are not +0.0,
+def dense(rows):
+    """The sparse rows expanded, through the block fill every dense step uses."""
+    return flow._Block(rows, len(rows)).fill(slice(0, len(rows)))
+
+
+def assert_well_formed(rows, matrix):
+    """``rows`` holds exactly the entries of ``matrix`` that are not +0.0,
     in ascending column order, with byte-wide indices at d=256."""
     assert rows.offsets.dtype == np.int64 and rows.values.dtype == np.float64
     assert rows.indices.dtype == (np.uint8 if rows.d <= 256 else rows.indices.dtype)
@@ -159,8 +164,8 @@ def assert_well_formed(rows, dense):
     for i in range(len(rows)):
         columns = rows.indices[rows.offsets[i]:rows.offsets[i + 1]]
         assert np.all(np.diff(columns.astype(np.int64)) > 0)
-        assert list(columns) == list(np.flatnonzero(dense[i].view(np.uint64)))
-    assert rows.dense().tobytes() == dense.tobytes()
+        assert list(columns) == list(np.flatnonzero(matrix[i].view(np.uint64)))
+    assert dense(rows).tobytes() == matrix.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
