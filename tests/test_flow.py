@@ -157,9 +157,10 @@ def dense(rows):
 
 def assert_well_formed(rows, matrix):
     """``rows`` holds exactly the entries of ``matrix`` that are not +0.0,
-    in ascending column order, with byte-wide indices at d=256."""
+    in ascending column order, with indices of the smallest unsigned type
+    that holds d - 1 (one byte at d=256)."""
     assert rows.offsets.dtype == np.int64 and rows.values.dtype == np.float64
-    assert rows.indices.dtype == (np.uint8 if rows.d <= 256 else rows.indices.dtype)
+    assert rows.indices.dtype == np.min_scalar_type(max(rows.d - 1, 0))
     assert rows.offsets[0] == 0 and rows.offsets[-1] == len(rows.values) == len(rows.indices)
     for i in range(len(rows)):
         columns = rows.indices[rows.offsets[i]:rows.offsets[i + 1]]
@@ -561,6 +562,7 @@ def sparse_points(draw):
 @example((np.array([[0.0, 0.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), 4, 2, 2))
 @example((np.array(LATE_REPAIRS[0][0]), *LATE_REPAIRS[0][1:], 2))
 @example((np.array(LATE_REPAIRS[5][0]), *LATE_REPAIRS[5][1:], None))
+@example((np.eye(300)[[0, 299, 299, 5]], 3, 0, None))  # two-byte column numbers
 def test_cluster_on_sparse_rows_equals_dense_reference(case):
     points, k, seed, budget = case
     expected_assignments, expected_centroids = reference_cluster(points, k, seed)
