@@ -8,9 +8,10 @@ transition counts with per-source-node probabilities.
 
 ``build_flow_graph`` reads its dialogs once, from any iterable, keeping each
 turn's speaker and text and each dialog's turn count. A side's vectors are
-held as compressed sparse rows, one entry per non-zero; every dense step
-works on a few rows at a time. So memory grows with the larger side's
-token entries, not with its utterances times the 256 embedding buckets.
+held as compressed sparse rows, one entry per non-zero; k-means sums them
+entry by entry, and every dense step works on a few rows at a time. So
+memory grows with the larger side's token entries, not with its utterances
+times the 256 embedding buckets.
 
 The embedder contract: pass any ``text -> vector`` callable to
 ``build_flow_graph(embedder=...)`` to slot in a different encoder.
@@ -47,10 +48,10 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
 
-# elements of a dense block: rows filled from the sparse rows, (rows, k, d)
-# differences or member rows to sum. 512 KB of float64 whatever n and k are,
-# small enough to stay in a core's L2 cache between the step that writes it
-# and the one that reads it (1 << 20 elements ran 20-30% slower on 10k-20k rows)
+# elements of a dense block: rows filled from the sparse rows or (rows, k, d)
+# differences. 512 KB of float64 whatever n and k are, small enough to stay
+# in a core's L2 cache between the step that writes it and the one that reads
+# it (1 << 20 elements ran 20-30% slower on 10k-20k rows)
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -95,10 +96,8 @@ def _sparse(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.count_nonzero(stored, axis=1), columns, block[stored]
 
 
-def _as_rows(vectors: _Rows | np.ndarray) -> _Rows:
-    """``vectors`` as sparse rows: a 2-D float64 array is converted a block at a time."""
-    if isinstance(vectors, _Rows):
-        return vectors
+def _as_rows(vectors: np.ndarray) -> _Rows:
+    """A 2-D float64 array as sparse rows, converted a block at a time."""
     step = max(1, _BLOCK_ELEMENTS // max(1, vectors.shape[1]))
     return _join([_sparse(vectors[start:start + step])
                   for start in range(0, len(vectors), step)], vectors.shape[1])
@@ -119,8 +118,8 @@ class _Block:
         self.buffer = np.zeros((height, rows.d))
         self._written = np.zeros(0, np.intp)
 
-    def fill(self, chosen: Sequence[int] | slice, start: int = 0) -> np.ndarray:
-        """Buffer rows ``start`` on, set to the rows ``chosen`` in that order."""
+    def fill(self, chosen: Sequence[int] | slice) -> np.ndarray:
+        """The buffer's first rows, set to the rows ``chosen`` in that order."""
         import numpy as np
 
         rows, flat = self.rows, self.buffer.reshape(-1)
@@ -135,11 +134,9 @@ class _Block:
             # each entry's place in the store: its row's start plus its rank in the row
             before = lengths.cumsum() - lengths
             at = np.arange(int(lengths.sum())) + (starts - before).repeat(lengths)
-        end = start + len(lengths)
-        self._written = rows.indices[at] + np.arange(
-            start * rows.d, end * rows.d, rows.d).repeat(lengths)
+        self._written = rows.indices[at] + np.repeat(np.arange(len(lengths)) * rows.d, lengths)
         flat[self._written] = rows.values[at]
-        return self.buffer[start:end]
+        return self.buffer[:len(lengths)]
 
 
 def _squared_norms(rows: _Rows) -> np.ndarray:
@@ -237,7 +234,7 @@ class ClusterModel:
     assignments: tuple[int, ...]
 
 
-def _first_occurrences(vectors: _Rows | np.ndarray) -> np.ndarray:
+def _first_occurrences(rows: _Rows) -> np.ndarray:
     """Index of the first occurrence of each distinct row, in input order.
 
     Rows are equal when their dense bytes are (a -0.0 row differs from a 0.0
@@ -246,7 +243,6 @@ def _first_occurrences(vectors: _Rows | np.ndarray) -> np.ndarray:
     two distinct rows share a hash."""
     import numpy as np
 
-    rows = _as_rows(vectors)
     offsets = rows.offsets.tolist()
     width = rows.indices.itemsize
     index_bytes = memoryview(rows.indices).cast("B")
@@ -266,27 +262,6 @@ def _first_occurrences(vectors: _Rows | np.ndarray) -> np.ndarray:
     for i in range(n):
         first_of.setdefault(key(i), i)
     return np.fromiter(first_of.values(), np.intp)
-
-
-def _mean_of_rows(rows: _Rows, members: np.ndarray) -> np.ndarray:
-    """The mean of the dense ``members`` rows, ``mean(axis=0)`` to the bit,
-    filling a block of rows at a time into a buffer below the sum so far:
-    numpy sums the rows of a matrix two or more columns wide in order, so the
-    sum so far put above the next block continues it. One column, summed
-    pairwise, is one block. Every sum, a lone member's too, is numpy's, which
-    turns a column of -0.0 into +0.0 as ``mean`` does."""
-    import numpy as np
-
-    d = rows.d
-    step = max(1, _BLOCK_ELEMENTS // d) if d > 1 else len(members)
-    block = _Block(rows, min(step, len(members)) + 1)
-    buffer = block.buffer
-    for start in range(0, len(members), step):
-        chunk = members[start:start + step]
-        block.fill(chunk, start=1)
-        # the first chunk has no sum above it
-        buffer[0] = np.add.reduce(buffer[0 if start else 1:len(chunk) + 1], axis=0)
-    return buffer[0] / len(members)
 
 
 def _gamma(n: int) -> float:
@@ -356,6 +331,11 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
     of rows at a time. The assignments and centroids are those of sums of
     squared differences for every dense row, bit for bit, and memory beyond
     the rows grows with n*k, not n*k*d.
+
+    Each centroid is its members' ``mean(axis=0)``, bit for bit: numpy sums
+    rows two or more columns wide in order from +0.0, as one ``np.bincount``
+    of the stored entries by (cluster, bucket) does, and an absent +0.0
+    entry changes no such sum. One column numpy sums pairwise, as at d = 1.
     """
     import numpy as np
 
@@ -365,7 +345,10 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
         points = vectors
     else:
         try:
-            dense = np.asarray(vectors, dtype=np.float64)
+            dense = np.asarray(vectors)
+            if dense.dtype.kind == "c":
+                raise TypeError("complex values are not real")
+            dense = dense.astype(np.float64, copy=False)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"cluster() needs numeric vectors of one length: {exc}") from exc
         if dense.ndim != 2:
@@ -435,8 +418,18 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-        for c in range(k):
-            centroids[c] = _mean_of_rows(points, np.flatnonzero(assignments == c))
+        if d == 1:  # numpy sums one column pairwise
+            column = _Block(points, n).fill(slice(0, n))
+            for c in range(k):
+                centroids[c] = np.add.reduce(column[assignments == c], axis=0)
+        else:
+            # each (cluster, bucket) sum adds its stored entries in row order
+            keys = np.repeat(assignments * d, np.diff(points.offsets))
+            keys += points.indices
+            centroids[:] = np.bincount(keys, weights=points.values,
+                                       minlength=k * d).reshape(k, d)
+            del keys  # not held through the next round's products
+        centroids /= np.bincount(assignments, minlength=k)[:, None]
 
     return ClusterModel(centroids=centroids, assignments=tuple(int(a) for a in assignments))
 
@@ -561,6 +554,8 @@ def _embed_side(texts: Sequence[str], embedder: Callable[[str], np.ndarray],
     blocks, pending = [], []
     for j, text in enumerate(texts):
         vector = np.asarray(embedder(text))
+        if vector.dtype.kind not in "biuf":
+            raise ConfigError(f"embedder returned non-real values for turn {turn_of(j)}")
         shape = shape or vector.shape
         if len(shape) != 1:
             raise ConfigError(f"embedder returned shape {shape} for turn 0; "

@@ -216,6 +216,8 @@ class TestCluster:
         [[0, 0], [1, 1, 1]],
         [[0, 0], ["a", "b"]],
         [[0, 0], [object(), 1]],
+        [[0, 0], [1j, 1]],
+        np.array([[0, 0], [1j, 1]]),
     ])
     def test_bad_vectors_rejected(self, vectors):
         with warnings.catch_warnings():
@@ -231,6 +233,11 @@ class TestCluster:
     def test_bad_k_or_no_vectors_rejected(self, vectors, k, message):
         with pytest.raises(ConfigError, match=message):
             cluster(vectors, k=k, seed=0)
+
+    def test_zero_width_vectors(self):
+        model = cluster(np.zeros((3, 0)), k=1, seed=0)
+        assert model.centroids.shape == (1, 0)
+        assert model.assignments == (0, 0, 0)
 
     def test_empty_cluster_repaired(self):
         # with this seed one of the four clusters loses every point to its
@@ -299,18 +306,29 @@ TINY_VOCABULARY = ["open", "close", "account", "new", "my", "please"]
 @st.composite
 def cluster_inputs(draw):
     """Points with many duplicate rows and exact distance ties: hashed
-    embeddings of texts over a six-word vocabulary, or small-integer points."""
-    n = draw(st.one_of(st.integers(1, 64), st.integers(1000, 1500)))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    embeddings of texts over a six-word vocabulary, or small-integer points.
+    Or up to 300 normal points, each row scaled by 10**U(-8, 8), whose member
+    sums round differently in another order (one column, summed in order
+    rather than pairwise, gives other bits in about a fifth of them)."""
+    kind = draw(st.sampled_from(["embedded", "integers", "scaled"]))
+    n = draw(st.integers(1, 300) if kind == "scaled"
+             else st.one_of(st.integers(1, 64), st.integers(1000, 1500)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    if kind == "embedded":
         points = np.array([embed(" ".join(rng.choices(TINY_VOCABULARY, k=rng.randint(0, 3))))
                            for _ in range(n)])
-    else:
+    elif kind == "integers":
         d = draw(st.integers(1, 4))
         points = np.array([[rng.randint(-3, 3) for _ in range(d)] for _ in range(n)],
                           dtype=np.float64)
+    else:
+        normal = np.random.default_rng(seed)
+        points = normal.normal(size=(n, draw(st.integers(1, 4))))
+        points *= 10.0 ** normal.uniform(-8, 8, size=(n, 1))
     distinct = len(np.unique(points, axis=0))
-    k = min(draw(st.one_of(st.integers(1, 4), st.integers(12, 16))), distinct)
+    k = min(draw(st.integers(1, 4) if kind == "scaled"
+                 else st.one_of(st.integers(1, 4), st.integers(12, 16))), distinct)
     # None keeps the module's block budget; small budgets give blocks of a few rows
     budget = draw(st.one_of(st.none(), st.integers(1, 1 << 16)))
     return points, k, draw(st.integers(0, 1000)), budget
@@ -575,43 +593,34 @@ def test_cluster_on_sparse_rows_equals_dense_reference(case):
 
 
 def test_numpy_sums_the_rows_of_a_block_in_order_and_one_column_pairwise():
-    # _mean_of_rows and the block sums rely on this: in order, 1e16 absorbs
-    # each 1.0 until -1e16 cancels it, leaving the last 1.0; pairwise, the
-    # 1.0s are summed apart from 1e16
+    # cluster's member sums rely on this: in order, 1e16 absorbs each 1.0
+    # until -1e16 cancels it, leaving the last 1.0; pairwise, the 1.0s are
+    # summed apart from 1e16
     column = [1e16] + [1.0] * 7 + [-1e16, 1.0]
     block = np.array([column, column]).T.copy()
     assert block.flags.c_contiguous
     assert np.add.reduce(block, axis=0).tolist() == [1.0, 1.0]
     assert np.add.reduce(np.array(column)) == 7.0
     assert np.add.reduce(np.array(column)[:, None], axis=0).tolist() == [7.0]
-    # and a sum starts where mean() starts: a column of -0.0 sums to +0.0
+    # bincount adds its weights in input order too
+    assert np.bincount(np.zeros(len(column), np.intp), weights=column).tolist() == [1.0]
+    # and every sum starts from +0.0, as mean() does: a column of -0.0 sums to +0.0
     for zeros in (np.full((1, 2), -0.0), np.full((3, 2), -0.0), np.full((3, 1), -0.0)):
         assert np.add.reduce(zeros, axis=0).tobytes() == zeros.mean(axis=0).tobytes()
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 300), st.integers(1, 64))
-def test_mean_of_rows_equals_numpy_mean(seed, d, n, budget):
-    # the member rows are summed a few at a time (budget // d rows), in the
-    # order numpy's mean sums them; one column numpy sums pairwise
-    rng = np.random.default_rng(seed)
-    points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 8, size=(n, 1))
-    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
-    with mock.patch.object(flow, "_BLOCK_ELEMENTS", budget):
-        mean = flow._mean_of_rows(flow._as_rows(points), rows)
-    assert mean.tobytes() == points[rows].mean(axis=0).tobytes()
+        assert zeros.mean(axis=0).tobytes() == np.zeros(zeros.shape[1]).tobytes()
+    assert np.bincount([0], weights=[-0.0]).tobytes() == np.zeros(1).tobytes()
 
 
 def test_first_occurrences_keep_order_and_sign_of_zero():
     points = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [-0.0, 0.0], [0.0, 0.0], [2.0, 2.0]])
-    assert list(flow._first_occurrences(points)) == [0, 1, 3, 5]
+    assert list(flow._first_occurrences(flow._as_rows(points))) == [0, 1, 3, 5]
 
 
 def test_first_occurrences_fall_back_on_a_hash_collision():
     points = np.array([[3.0], [1.0], [3.0], [-0.0], [0.0], [1.0]])
     # every row hashes alike, so only the byte comparison can tell them apart
     with mock.patch.object(flow, "hash", lambda data: 0, create=True):
-        assert list(flow._first_occurrences(points)) == [0, 1, 3, 4]
+        assert list(flow._first_occurrences(flow._as_rows(points))) == [0, 1, 3, 4]
 
 
 def medoid_labels_before(dialogs, k, seed, embedder=embed):
@@ -838,6 +847,29 @@ class TestBuildFlowGraph:
         with pytest.raises(ConfigError, match=r"NaN or infinity for turn 2$"):
             build_flow_graph([d], k=2, seed=0, embedder=embedder)
 
+    @pytest.mark.parametrize("bad", [["a", "b"], [None, None], [1j, 1.0]],
+                             ids=["str", "None", "complex"])
+    def test_non_real_embedding_names_turn(self, bad):
+        d = (Dialog()
+             .append_utterance("A", "one", 0)
+             .append_utterance("B", "two", 1)
+             .append_utterance("A", "bad", 2))
+
+        def embedder(text):
+            return np.array(bad) if text == "bad" else np.ones(2)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"non-real values for turn 2$"):
+                build_flow_graph([d], k=2, seed=0, embedder=embedder)
+
+    def test_zero_width_embedder(self):
+        corpus = build_action_corpus(10, seed=42)
+        graph = build_flow_graph(corpus, k=2, seed=0, embedder=lambda text: np.zeros(0))
+        validate_flow_graph(graph)
+        sizes = sorted(node.size for node in graph.nodes if node.speaker_side)
+        assert len(sizes) == 2 and sum(sizes) == sum(len(d.turns) for d in corpus)
+
     def test_peak_memory_stays_below_one_corpus_matrix(self):
         # 10,400 utterances on two sides: one n x 256 float64 matrix of the
         # whole corpus is 21 MB; one side's at a time is half of that
@@ -860,8 +892,8 @@ class TestBuildFlowGraph:
         # its two sides. The sparse rows take 9 bytes an entry and twice that
         # while built; each turn, with 3 to 12 tokens, adds its text's place
         # in a side list, its side, its node id and its place in a path. The
-        # fixed part is four block buffers: filled rows, differences, member
-        # sums and medoid rows.
+        # fixed part is three block buffers: filled rows, differences and
+        # medoid rows.
         rng = random.Random(4)
         words = [f"w{i}" for i in range(500)]
         dialogs = [Dialog(id=i, turns=[
