@@ -9,9 +9,9 @@ transition counts with per-source-node probabilities.
 ``build_flow_graph`` reads its dialogs once, from any iterable, keeping each
 turn's speaker and text and each dialog's turn count. A side's vectors are
 held as compressed sparse rows, one entry per non-zero; k-means sums them
-entry by entry, and every dense step works on a few rows at a time. So
-memory grows with the larger side's token entries, not with its utterances
-times the 256 embedding buckets.
+entry by entry, and every dense step reads its rows from one generator,
+``_dense_rows``, a block of a few rows at a time. So memory grows with the
+larger side's token entries, not with its utterances times the 256 buckets.
 
 The embedder contract: pass any ``text -> vector`` callable to
 ``build_flow_graph(embedder=...)`` to slot in a different encoder.
@@ -20,6 +20,7 @@ The embedder contract: pass any ``text -> vector`` callable to
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import re
 from collections import Counter
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .dialog import Dialog
 from .errors import ConfigError
@@ -96,47 +97,45 @@ def _sparse(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.count_nonzero(stored, axis=1), columns, block[stored]
 
 
+def _height(width: int) -> int:
+    """Rows in a block of ``width`` elements a row, at least one."""
+    return max(1, _BLOCK_ELEMENTS // max(1, width))
+
+
 def _as_rows(vectors: np.ndarray) -> _Rows:
     """A 2-D float64 array as sparse rows, converted a block at a time."""
-    step = max(1, _BLOCK_ELEMENTS // max(1, vectors.shape[1]))
+    step = _height(vectors.shape[1])
     return _join([_sparse(vectors[start:start + step])
                   for start in range(0, len(vectors), step)], vectors.shape[1])
 
 
-class _Block:
-    """A buffer of ``height`` dense rows, refilled from sparse rows.
+def _dense_rows(rows: _Rows, chosen: range | np.ndarray, width: int) -> Iterator[tuple]:
+    """Yield ``(chunk, dense)`` for the rows ``chosen`` (a range of step 1 or an
+    index array), ``_height(width)`` at a time: ``dense`` holds the rows of
+    ``chunk`` as the dense matrix has them, bit for bit. Every block is a view
+    of one zeroed buffer, and zeroes only the entries the previous one wrote,
+    so it costs its rows' entries, not its rows times d."""
+    import numpy as np
 
-    The buffer starts zeroed, and a fill zeroes only the entries the previous
-    fill wrote, so it costs its rows' entries, not its rows times d. Every
-    dense computation runs on rows filled here, so each sees the values of
-    the dense matrix, bit for bit."""
-
-    def __init__(self, rows: _Rows, height: int):
-        import numpy as np
-
-        self.rows = rows
-        self.buffer = np.zeros((height, rows.d))
-        self._written = np.zeros(0, np.intp)
-
-    def fill(self, chosen: Sequence[int] | slice) -> np.ndarray:
-        """The buffer's first rows, set to the rows ``chosen`` in that order."""
-        import numpy as np
-
-        rows, flat = self.rows, self.buffer.reshape(-1)
-        flat[self._written] = 0.0
-        if isinstance(chosen, slice):  # consecutive rows, whose entries are consecutive too
-            lengths = np.diff(rows.offsets[chosen.start:chosen.stop + 1])
-            at = slice(rows.offsets[chosen.start], rows.offsets[chosen.stop])
+    height = _height(width)
+    buffer = np.zeros((min(height, len(chosen)), rows.d))
+    flat = buffer.reshape(-1)
+    written = np.zeros(0, np.intp)
+    for start in range(0, len(chosen), height):
+        chunk = chosen[start:start + height]
+        flat[written] = 0.0
+        if isinstance(chunk, range):  # consecutive rows, whose entries are consecutive too
+            lengths = np.diff(rows.offsets[chunk.start:chunk.stop + 1])
+            at = slice(rows.offsets[chunk.start], rows.offsets[chunk.stop])
         else:
-            chosen = np.asarray(chosen, dtype=np.intp)
-            starts = rows.offsets[chosen]
-            lengths = rows.offsets[chosen + 1] - starts
+            starts = rows.offsets[chunk]
+            lengths = rows.offsets[chunk + 1] - starts
             # each entry's place in the store: its row's start plus its rank in the row
             before = lengths.cumsum() - lengths
             at = np.arange(int(lengths.sum())) + (starts - before).repeat(lengths)
-        self._written = rows.indices[at] + np.repeat(np.arange(len(lengths)) * rows.d, lengths)
-        flat[self._written] = rows.values[at]
-        return self.buffer[:len(lengths)]
+        written = rows.indices[at] + np.repeat(np.arange(len(chunk)) * rows.d, lengths)
+        flat[written] = rows.values[at]
+        yield chunk, buffer[:len(chunk)]
 
 
 def _squared_norms(rows: _Rows) -> np.ndarray:
@@ -170,7 +169,7 @@ def _embed_rows(texts: Sequence[str]) -> _Rows:
     import numpy as np
 
     blocks = []
-    step = max(1, _BLOCK_ELEMENTS // EMBED_DIM)
+    step = _height(EMBED_DIM)
     for start in range(0, len(texts), step):
         lengths: list[int] = []
         buckets: list[int] = []
@@ -303,11 +302,8 @@ def _products(rows: _Rows, others: np.ndarray) -> np.ndarray:
     import numpy as np
 
     out = np.empty((len(rows), len(others)))
-    step = max(1, _BLOCK_ELEMENTS // max(1, rows.d))
-    block = _Block(rows, min(step, len(rows)))
-    for start in range(0, len(rows), step):
-        dense = block.fill(slice(start, min(start + step, len(rows))))
-        np.matmul(dense, others.T, out=out[start:start + step])
+    for chunk, dense in _dense_rows(rows, range(len(rows)), rows.d):
+        np.matmul(dense, others.T, out=out[chunk.start:chunk.stop])
     return out
 
 
@@ -339,6 +335,8 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
     """
     import numpy as np
 
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ConfigError(f"k must be an integer, got {k!r}")
     if k <= 0:
         raise ConfigError("k must be positive")
     if isinstance(vectors, _Rows):
@@ -351,11 +349,9 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
             dense = dense.astype(np.float64, copy=False)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"cluster() needs numeric vectors of one length: {exc}") from exc
-        if dense.ndim != 2:
+        if dense.ndim != 2 or len(dense) == 0:
             raise ConfigError("cluster() needs a non-empty list of vectors")
         points = _as_rows(dense)
-    if len(points) == 0:
-        raise ConfigError("cluster() needs a non-empty list of vectors")
     # min and max are NaN if any entry is, so max() keeps it
     values = points.values
     magnitude = max(-float(values.min(initial=0.0)), float(values.max(initial=0.0)))
@@ -369,19 +365,16 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
     n, d = len(points), points.d
     rng = random.Random(seed)
     chosen = rng.sample(range(len(distinct_rows)), k)
-    centroids = _Block(points, k).fill([distinct_rows[c] for c in chosen])
-
-    step = max(1, _BLOCK_ELEMENTS // max(1, k * d))
-    block = _Block(points, min(step, n))
+    centroids = np.concatenate([block.copy() for _, block
+                                in _dense_rows(points, distinct_rows[chosen], d)])
     row_sq = _squared_norms(points)
     largest_row_sq = float(row_sq.max())
 
-    def exact_argmin(distances: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def exact_argmin(distances: np.ndarray, rows: range | np.ndarray) -> np.ndarray:
         # rewrites the rows' squared distances as sums of squared differences;
         # ties go to the lowest index
-        for start in range(0, len(rows), step):
-            chunk = rows[start:start + step]
-            deltas = block.fill(chunk)[:, None, :] - centroids[None, :, :]
+        for chunk, dense in _dense_rows(points, rows, k * d):
+            deltas = dense[:, None, :] - centroids[None, :, :]
             distances[chunk] = np.einsum("nkd,nkd->nk", deltas, deltas)
         return distances[rows].argmin(axis=1)
 
@@ -403,7 +396,7 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
 
         if not np.bincount(new_assignments, minlength=k).all():
             # the repair reads every row's distance
-            new_assignments = exact_argmin(distances, np.arange(n))
+            new_assignments = exact_argmin(distances, range(n))
         # k <= distinct rows <= n, so while a cluster is empty another has two members
         for empty in range(k):
             if np.any(new_assignments == empty):
@@ -418,8 +411,9 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-        if d == 1:  # numpy sums one column pairwise
-            column = _Block(points, n).fill(slice(0, n))
+        if d == 1:  # numpy sums one column pairwise; a row has at most one entry
+            column = np.zeros((n, 1))
+            column[np.diff(points.offsets) > 0, 0] = points.values
             for c in range(k):
                 centroids[c] = np.add.reduce(column[assignments == c], axis=0)
         else:
@@ -506,16 +500,10 @@ def _medoid(indices: list[int], rows: _Rows, mean_vector: np.ndarray,
         bounded[:] = False
     best = float(scores[bounded].max(initial=-np.inf))
     members = np.asarray(indices)[np.flatnonzero(~bounded | (scores >= best - 2.0 * slack))]
-    step = max(1, _BLOCK_ELEMENTS // max(1, rows.d))
-    block = _Block(rows, min(step, len(members)))
-
-    def scored():
-        for start in range(0, len(members), step):
-            chunk = members[start:start + step]
-            for member, row in zip(chunk.tolist(), block.fill(chunk)):
-                yield cosine(row, mean_vector), member
-
-    return max(scored(), key=itemgetter(0))[1]
+    scored = ((cosine(row, mean_vector), member)
+              for chunk, dense in _dense_rows(rows, members, rows.d)
+              for member, row in zip(chunk.tolist(), dense))
+    return max(scored, key=itemgetter(0))[1]
 
 
 def _transition_graph(
@@ -566,7 +554,7 @@ def _embed_side(texts: Sequence[str], embedder: Callable[[str], np.ndarray],
         if not np.isfinite(vector).all():
             raise ConfigError(f"embedder returned NaN or infinity for turn {turn_of(j)}")
         pending.append(vector.astype(np.float64))  # a copy: the embedder may reuse its array
-        if len(pending) * max(1, shape[0]) >= _BLOCK_ELEMENTS or j == len(texts) - 1:
+        if len(pending) == _height(shape[0]) or j == len(texts) - 1:
             blocks.append(_sparse(np.array(pending)))
             pending.clear()
     return _join(blocks, shape[0])
@@ -586,6 +574,8 @@ def build_flow_graph(
     clusters and the other floor(k/2). ``k`` is the abstraction knob:
     higher k, finer-grained action nodes.
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ConfigError(f"k must be an integer, got {k!r}")
     side_of: dict[str, int] = {}
     texts: tuple[list[str], list[str]] = ([], [])
     order = bytearray()  # each turn's side

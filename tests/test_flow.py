@@ -151,8 +151,47 @@ def dense_embed_rows_before(texts):
 
 
 def dense(rows):
-    """The sparse rows expanded, through the block fill every dense step uses."""
-    return flow._Block(rows, len(rows)).fill(slice(0, len(rows)))
+    """The sparse rows expanded, through the block generator every dense step uses."""
+    blocks = [block.copy() for _, block in flow._dense_rows(rows, range(len(rows)), rows.d)]
+    return np.concatenate([np.zeros((0, rows.d)), *blocks])
+
+
+@st.composite
+def dense_rows_inputs(draw):
+    """Sparse rows with -0.0 entries, the rows to expand, a block width and
+    a block budget. At d=300 the column numbers take two bytes."""
+    d = draw(st.sampled_from([0, 1, 2, 300]))
+    n = draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+    matrix[rng.random((n, d)) < (0.98 if d == 300 else 0.5)] = 0.0
+    matrix[(matrix == 0.0) & (rng.random((n, d)) < 0.05)] = -0.0
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n))
+        chosen = range(start, draw(st.integers(start, n)))
+    else:  # repeats, any order, or none
+        picks = draw(st.lists(st.integers(0, n - 1), max_size=40)) if n else []
+        chosen = np.array(picks, dtype=np.intp)
+    width = draw(st.sampled_from([0, 1, d, 3 * d, 4096]))
+    return matrix, chosen, width, draw(st.one_of(st.integers(1, 64), st.integers(1, 1 << 16)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_rows_inputs())
+@example((np.array([[-0.0, 1.0], [0.0, 0.0], [2.0, -0.0]]), np.array([2, 0, 2, 1]), 2, 3))
+@example((np.eye(300)[[0, 299, 5]] * -1.0, range(1, 3), 300, 1 << 16))
+def test_dense_rows_equal_the_chosen_rows_of_the_dense_matrix(case):
+    matrix, chosen, width, budget = case
+    with mock.patch.object(flow, "_BLOCK_ELEMENTS", budget):
+        rows = flow._as_rows(matrix)
+        chunks, blocks = [], []
+        for chunk, block in flow._dense_rows(rows, chosen, width):
+            assert len(block) == len(chunk) <= max(1, budget // max(1, width))
+            chunks.extend(chunk)
+            blocks.append(block.copy())
+    assert chunks == list(chosen)
+    expanded = np.concatenate([np.zeros((0, matrix.shape[1])), *blocks])
+    assert expanded.tobytes() == matrix[np.asarray(chosen, dtype=np.intp)].tobytes()
 
 
 def assert_well_formed(rows, matrix):
@@ -229,10 +268,22 @@ class TestCluster:
         ([[0, 0], [1, 1]], 0, "k must be positive"),
         ([[0, 0], [1, 1]], -1, "k must be positive"),
         ([], 1, "non-empty list of vectors"),
-    ], ids=["k-zero", "k-negative", "no-vectors"])
+        (np.zeros((0, 2)), 1, "non-empty list of vectors"),
+        ([[0, 0], [1, 1]], True, "k must be an integer, got True"),
+        ([[0, 0], [1, 1]], 2.0, "k must be an integer, got 2.0"),
+        ([[0, 0], [1, 1]], 2.5, "k must be an integer, got 2.5"),
+        ([[0, 0], [1, 1]], np.float64(1.0), "k must be an integer"),
+    ], ids=["k-zero", "k-negative", "no-vectors", "no-rows", "k-bool", "k-float-integral",
+            "k-float", "k-numpy-float"])
     def test_bad_k_or_no_vectors_rejected(self, vectors, k, message):
         with pytest.raises(ConfigError, match=message):
             cluster(vectors, k=k, seed=0)
+
+    def test_numpy_integer_k_accepted(self):
+        vectors = [embed(t) for t in AGENT_PHRASES + CLIENT_PHRASES]
+        model, expected = cluster(vectors, k=np.int64(3), seed=5), cluster(vectors, k=3, seed=5)
+        assert model.assignments == expected.assignments
+        assert model.centroids.tobytes() == expected.centroids.tobytes()
 
     def test_zero_width_vectors(self):
         model = cluster(np.zeros((3, 0)), k=1, seed=0)
@@ -809,6 +860,18 @@ class TestBuildFlowGraph:
         with pytest.raises(ConfigError, match="corpus has no turns"):
             build_flow_graph([Dialog(), Dialog(id=1)], k=2, seed=0)
 
+    @pytest.mark.parametrize("k", [True, 2.0, 2.5, np.float64(2.0)],
+                             ids=["bool", "float-integral", "float", "numpy-float"])
+    def test_k_that_is_not_an_integer_rejected(self, k):
+        corpus = build_action_corpus(4, seed=42)
+        with pytest.raises(ConfigError, match=r"^k must be an integer, got "):
+            build_flow_graph(corpus, k=k, seed=0)
+
+    def test_numpy_integer_k_accepted(self):
+        corpus = build_action_corpus(10, seed=42)
+        graph = build_flow_graph(corpus, k=np.int64(6), seed=3)
+        assert flow_to_dot(graph) == flow_to_dot(build_flow_graph(corpus, k=6, seed=3))
+
     def test_k_below_sides_rejected(self):
         d = Dialog().append_utterance("A", "x", 0).append_utterance("B", "y", 1)
         with pytest.raises(ConfigError, match=r"k=1 is below the number of speaker sides \(2\)"):
@@ -892,8 +955,9 @@ class TestBuildFlowGraph:
         # its two sides. The sparse rows take 9 bytes an entry and twice that
         # while built; each turn, with 3 to 12 tokens, adds its text's place
         # in a side list, its side, its node id and its place in a path. The
-        # fixed part is three block buffers: filled rows, differences and
-        # medoid rows.
+        # fixed part is at most two block buffers at once: the one buffer of
+        # the block generator in use (product, exact distance or medoid rows)
+        # and, for exact distances, its rows' differences from the centroids.
         rng = random.Random(4)
         words = [f"w{i}" for i in range(500)]
         dialogs = [Dialog(id=i, turns=[
