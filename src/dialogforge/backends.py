@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import re
 import threading
 import urllib.parse
 from dataclasses import dataclass
@@ -25,15 +26,19 @@ from .errors import (
     WireError,
 )
 
-# HttpBackend imports http.client, urllib.request and ssl when built, so only wire
-# runs load them
+# HttpBackend imports http.client, socket, urllib.request and ssl when built or
+# used, so only wire runs load them
 if TYPE_CHECKING:
+    import http.client
     import ssl
 
 API_KEY_ENV = "DIALOGFORGE_API_KEY"
 BASE_URL_ENV = "DIALOGFORGE_BASE_URL"
 
 DEFAULT_TIMEOUT = 120.0
+# what http.client could not send in a header value, or would send garbled: C0 and C1
+# controls, DEL, and anything past Latin-1
+_UNSENDABLE = re.compile(r"[^\x20-\x7e\xa0-\xff]")
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,9 @@ class Backend:
     def _complete(self, messages: list[Message], params: SamplingParams) -> str:
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release what the calling thread holds open; the backend stays usable."""
+
 
 class ScriptedBackend(Backend):
     """Deterministic backend that replays a fixed list of responses.
@@ -124,10 +132,24 @@ class HttpBackend(Backend):
     The request body always contains exactly {model, messages, temperature,
     max_tokens}, plus {seed} when set. The API key travels as a bearer
     credential and falls back to the DIALOGFORGE_API_KEY environment
-    variable. Each attempt opens its own connection. Transport failures,
-    timeouts included, are retried exactly once; HTTP error statuses are
-    not retried. The proxy environment (``http_proxy``, ``https_proxy``,
-    ``all_proxy``, ``no_proxy``) is read once, when the backend is built.
+    variable. A key that cannot be sent as a header value (a control
+    character, a trailing newline included, or a character outside
+    Latin-1), or a timeout that is neither None nor a positive finite
+    number of seconds, is a ConfigError when the backend is built.
+
+    Each thread keeps one HTTP/1.1 connection per backend open and sends
+    its completions over it. The connection is closed after a transport
+    failure and after a reply that says it will close; the thread's next
+    attempt opens a new one. Transport failures, timeouts included, are
+    retried exactly once, on a new connection; HTTP error statuses are not
+    retried. A failure on a reused connection is that one retry: a server
+    that closed the idle connection reads like one that dropped the
+    request. After each request is sent, the socket acknowledges at once
+    (``TCP_QUICKACK``, where the platform has it): a server that writes the
+    headers and the body in two sends with Nagle's algorithm on would
+    otherwise hold the body back until the client's delayed ACK. The proxy
+    environment (``http_proxy``, ``https_proxy``, ``all_proxy``,
+    ``no_proxy``) is read once, when the backend is built.
     """
 
     def __init__(
@@ -135,7 +157,7 @@ class HttpBackend(Backend):
         base_url: str,
         model: str,
         api_key: str | None = None,
-        timeout: float = DEFAULT_TIMEOUT,
+        timeout: float | None = DEFAULT_TIMEOUT,
     ):
         import http.client
         import urllib.request
@@ -144,14 +166,22 @@ class HttpBackend(Backend):
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self.timeout = timeout
+        if timeout is not None and (isinstance(timeout, bool) or not isinstance(
+                timeout, (int, float)) or not 0 < timeout < float("inf")):  # NaN fails too
+            raise ConfigError(f"timeout must be None or a positive finite number of seconds, "
+                              f"got {timeout!r}")
         self._url = f"{self.base_url}/chat/completions"
         target = _split_url(self._url, ("http", "https"), f"base_url {base_url!r}")
         if target.query or target.fragment:  # the path would not end in /chat/completions
             raise ConfigError(f"base_url {base_url!r} has a query or fragment")
         https = target.scheme == "https"
 
-        self._headers = {"Content-Type": "application/json", "Connection": "close"}
+        self._headers = {"Content-Type": "application/json"}
         if self.api_key:
+            if _UNSENDABLE.search(self.api_key):  # the message must not echo the key
+                raise ConfigError("the API key cannot be sent as a header value: it holds a "
+                                  "control character, such as a trailing newline, or a "
+                                  "character outside Latin-1")
             self._headers["Authorization"] = f"Bearer {self.api_key}"
         self._target = target.path
         self._tunnel = None
@@ -171,9 +201,30 @@ class HttpBackend(Backend):
         connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
         tls = {"context": _tls_context()} if https else {}
         self._connect = functools.partial(connection, *address, timeout=timeout, **tls)
+        self._local = threading.local()  # .connection: the calling thread's connection
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection, made on its first completion.
+
+        ``http.client`` reconnects a closed connection when it next sends,
+        through the tunnel again if there is one.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect()
+            if self._tunnel:
+                connection.set_tunnel(*self._tunnel)
+        return connection
+
+    def close(self) -> None:
+        """Close the calling thread's connection; its next completion connects anew."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
 
     def _complete(self, messages: list[Message], params: SamplingParams) -> str:
         import http.client
+        import socket
 
         body: dict = {
             "model": self.model,
@@ -185,20 +236,22 @@ class HttpBackend(Backend):
             body["seed"] = params.seed
         payload = json.dumps(body).encode()
 
+        connection = self._connection()
         for attempt in range(2):
-            connection = self._connect()
-            if self._tunnel:
-                connection.set_tunnel(*self._tunnel)
             try:
                 connection.request("POST", self._target, payload, self._headers)
+                if hasattr(socket, "TCP_QUICKACK"):  # ACK the reply's headers at once
+                    connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
                 response = connection.getresponse()
                 status, data = response.status, response.read()
             except (OSError, http.client.HTTPException) as exc:  # timeouts are OSErrors
+                connection.close()  # the next attempt connects anew
                 if attempt == 1:
                     raise WireError(f"transport failure talking to {self._url}: {exc}") from exc
                 continue
-            finally:
+            except BaseException:  # an interrupt leaves the exchange half done
                 connection.close()
+                raise
             return _read_reply(status, data)
 
 

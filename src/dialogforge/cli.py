@@ -265,11 +265,12 @@ def _load_run(spec_path: str, output_dir: str | None, seed: int | None,
 
 # dialogs a wire-backend run keeps in flight; scripted dialogs are pure-Python
 # work under the GIL, and running them one at a time keeps the serial prompt order.
-# Each request costs the client ~0.7 ms of GIL-bound CPU in http.client, with a
-# new connection per attempt. On two cores, one busy loop beside a wire batch
-# (10 ms server delay) cost 4 workers 5% of their dialogs per second (22.9 ->
-# 21.7) and 8 workers 16% (36.7 -> 31.0): past 4 the client competes for the
-# cores, and a run's time moves with the load beside it
+# Each request costs the client ~0.3 ms of GIL-bound CPU in http.client on a
+# kept-alive connection (~0.6 ms with a new connection per request). On two
+# cores, one busy loop beside a 40-dialog wire batch (10 ms server delay) cost
+# 1 worker 0.1% of its dialogs per second (7.40 -> 7.39), 4 workers 0.6%
+# (25.3 -> 25.1) and 6 workers 4.5% (33.2 -> 31.7): past 4 the client competes
+# for the cores, and a run's time moves with the load beside it
 WIRE_WORKERS = 4
 
 
@@ -282,8 +283,14 @@ def _run_one(spec: RunSpec, wire: dict[str, str | None],
     modules, maybe on several pool threads at once; the import system's
     per-module locks make the other threads wait for the first.
     """
-    first, second = agents(make_backend(spec, **wire))
-    return first.dialog_with(second, id=dialog_id, seed=seed, max_turns=spec.max_turns)
+    backend = make_backend(spec, **wire)
+    first, second = agents(backend)
+    try:
+        return first.dialog_with(second, id=dialog_id, seed=seed, max_turns=spec.max_turns)
+    finally:
+        # an agent and its orchestrators form a reference cycle, so the backend,
+        # and the connection it keeps, would outlive the dialog until collected
+        backend.close()
 
 
 def _run_in_order(spec: RunSpec, ids: Iterable[int], job: Callable[[int], Dialog],

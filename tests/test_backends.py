@@ -129,11 +129,15 @@ class MockServer:
 
     Behaviors: ("ok", content), ("status", code), ("raw", body) which
     answers 200 with exactly ``body`` (bytes), ("drop",) which closes the
-    connection without a response (transport failure). Assigning
-    ``behave`` a function of the request body replaces the queue, which
-    concurrent clients would consume in arrival order. Each request is
-    answered after ``delay`` seconds; ``max_in_flight`` is the most requests
-    the server was handling at once.
+    connection without a response (transport failure), ("close", content)
+    which answers like "ok" with ``Connection: close``, and ("stale",
+    content) which answers like "ok" and then closes the connection without
+    saying so, as a server closing an idle connection does. Assigning ``behave`` a
+    function of the request body replaces the queue, which concurrent
+    clients would consume in arrival order. Each request is answered after
+    ``delay`` seconds; ``max_in_flight`` is the most requests the server
+    was handling at once. Each entry of ``requests`` records the request's
+    path, body and client port, which names its connection.
     """
 
     def __init__(self, delay: float = 0.0):
@@ -153,7 +157,8 @@ class MockServer:
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length))
-                outer.requests.append({"path": self.path, "body": body})
+                outer.requests.append({"path": self.path, "body": body,
+                                       "port": self.client_address[1]})
                 outer.headers.append(dict(self.headers))
                 with outer._lock:
                     outer._in_flight += 1
@@ -167,10 +172,11 @@ class MockServer:
 
             def answer(self, behavior):
                 if behavior[0] == "drop":
-                    # shutdown (not just close) so the client sees the FIN
-                    # immediately instead of waiting out its read timeout
-                    self.close_connection = True
-                    self.connection.shutdown(socket.SHUT_RDWR)
+                    self.hang_up()
+                    return
+                if behavior[0] == "stale":  # an "ok" answer on a connection closed after it
+                    self.answer(("ok", behavior[1]))
+                    self.hang_up()
                     return
                 if behavior[0] == "raw":  # a 200 response with this exact body
                     self.send_response(200)
@@ -192,8 +198,16 @@ class MockServer:
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
+                if behavior[0] == "close":
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(payload)
+
+            def hang_up(self):
+                # shutdown (not just close) so the client sees the FIN
+                # immediately instead of waiting out its read timeout
+                self.close_connection = True
+                self.connection.shutdown(socket.SHUT_RDWR)
 
             def log_message(self, *args):
                 pass
@@ -357,6 +371,106 @@ class TestHttpBackend:
     def test_unusable_url_rejected(self, url):
         with pytest.raises(ConfigError):
             HttpBackend(url, "m")
+
+    @pytest.mark.parametrize("key", ["sk-SECRET\n", "sk-SECRET\r\n", "sk-\rSECRET", "sk-\x00SECRET",
+                                     "sk-\tSECRET", "sk-SECRET\x7f", "sk-\x85SECRET",
+                                     "sk-SECRET\u20ac", "sk-SECRET\U0001f511"],
+                             ids=["lf", "crlf", "cr", "nul", "tab", "del", "c1", "euro", "astral"])
+    def test_unsendable_api_key_rejected_without_echo(self, key):
+        with pytest.raises(ConfigError) as excinfo:
+            HttpBackend("http://127.0.0.1:9/v1", "m", api_key=key)
+        assert "SECRET" not in str(excinfo.value)
+
+    def test_api_key_from_env_with_trailing_newline_rejected(self, monkeypatch):
+        monkeypatch.setenv("DIALOGFORGE_API_KEY", "sk-SECRET\n")
+        with pytest.raises(ConfigError) as excinfo:
+            HttpBackend("http://127.0.0.1:9/v1", "m")
+        assert "SECRET" not in str(excinfo.value)
+
+    def test_latin_1_api_key_sent(self, mock):
+        HttpBackend(mock.url, "m", api_key="sk-\xe9t\xe9 key").complete(SYSTEM, PARAMS)
+        assert mock.headers[0]["Authorization"] == "Bearer sk-\xe9t\xe9 key"
+
+    @pytest.mark.parametrize("timeout", [True, False, 0, 0.0, -1, float("nan"), float("inf"), "5"],
+                             ids=["true", "false", "zero", "zero-float", "negative", "nan", "inf",
+                                  "string"])
+    def test_unusable_timeout_rejected(self, timeout):
+        with pytest.raises(ConfigError, match="timeout must be"):
+            HttpBackend("http://127.0.0.1:9/v1", "m", timeout=timeout)
+
+    def test_no_timeout_accepted(self, mock):
+        assert HttpBackend(mock.url, "m", api_key="k", timeout=None).complete(SYSTEM, PARAMS) == "Hi"
+
+
+def ports(server: MockServer) -> list[int]:
+    """The client port of each request the server saw, in arrival order."""
+    return [request["port"] for request in server.requests]
+
+
+class TestConnectionReuse:
+    def test_one_thread_sends_on_one_connection(self, mock):
+        backend = HttpBackend(mock.url, "m", api_key="k")
+        assert [backend.complete(SYSTEM, PARAMS) for _ in range(5)] == ["Hi"] * 5
+        assert len(ports(mock)) == 5 and len(set(ports(mock))) == 1
+        assert "Connection" not in mock.headers[0]
+
+    def test_threads_sharing_a_backend_use_a_connection_each(self, mock):
+        mock.behave = lambda body: ("ok", f"re: {body['messages'][-1]['content']}")
+        backend = HttpBackend(mock.url, "m", api_key="k")
+        barrier = threading.Barrier(2)
+        replies: dict[str, list[str]] = {}
+
+        def worker(name):
+            barrier.wait()  # both threads hold a connection while the other sends
+            replies[name] = [backend.complete([Message("user", f"{name}{i}")], PARAMS)
+                             for i in range(5)]
+
+        threads = [threading.Thread(target=worker, args=(name,)) for name in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert replies == {name: [f"re: {name}{i}" for i in range(5)] for name in "ab"}
+        senders: dict[int, set[str]] = {}
+        for request in mock.requests:
+            senders.setdefault(request["port"], set()).add(
+                request["body"]["messages"][-1]["content"][0])
+        assert sorted(senders.values(), key=sorted) == [{"a"}, {"b"}]
+
+    def test_completions_without_quick_ack(self, mock, monkeypatch):
+        monkeypatch.delattr(socket, "TCP_QUICKACK", raising=False)
+        backend = HttpBackend(mock.url, "m", api_key="k")
+        assert [backend.complete(SYSTEM, PARAMS) for _ in range(3)] == ["Hi"] * 3
+        assert len(set(ports(mock))) == 1
+
+    def test_stale_connection_uses_up_the_retry(self, mock):
+        mock.behaviors = [("stale", "one"), ("ok", "two"), ("stale", "three"), ("drop",)]
+        backend = HttpBackend(mock.url, "m", api_key="k")
+        assert backend.complete(SYSTEM, PARAMS) == "one"
+        # the request on the closed connection fails without reaching the server
+        assert backend.complete(SYSTEM, PARAMS) == "two"
+        assert backend.complete(SYSTEM, PARAMS) == "three"
+        with pytest.raises(WireError, match="^transport failure talking to "):
+            backend.complete(SYSTEM, PARAMS)
+        assert len(mock.requests) == 4
+        assert len(set(ports(mock))) == 3
+
+    def test_connection_closed_by_reply_is_not_reused(self, mock):
+        mock.behaviors = [("close", "one"), ("drop",), ("ok", "two"), ("ok", "three")]
+        backend = HttpBackend(mock.url, "m", api_key="k")
+        assert backend.complete(SYSTEM, PARAMS) == "one"
+        assert backend.complete(SYSTEM, PARAMS) == "two"  # a drop on a new connection, retried
+        assert backend.complete(SYSTEM, PARAMS) == "three"
+        first, dropped, second, third = ports(mock)
+        assert len({first, dropped, second}) == 3 and third == second
+
+    def test_close_releases_the_connection(self, mock):
+        backend = HttpBackend(mock.url, "m", api_key="k")
+        backend.complete(SYSTEM, PARAMS)
+        backend.close()
+        backend.close()
+        assert backend.complete(SYSTEM, PARAMS) == "Hi"
+        assert len(set(ports(mock))) == 2
 
 
 @pytest.fixture

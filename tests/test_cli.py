@@ -522,6 +522,17 @@ class TestWireBackendViaCli:
         finally:
             server.close()
 
+    def test_unsendable_api_key_exits_1_without_echo(self, runner, tmp_path):
+        spec = write_spec(tmp_path / "spec.json",
+                          backend={"baseUrl": "http://127.0.0.1:9/v1", "model": "m"})
+        result = runner.invoke(main, ["generate", "--spec", str(spec),
+                                      "--api-key", "sk-SECRET\n"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr.startswith("error: the API key cannot be sent")
+        assert len(result.stderr.splitlines()) == 1
+        assert "SECRET" not in result.stderr + result.stdout
+
     def test_missing_url_everywhere_exits_1(self, runner, tmp_path, monkeypatch):
         monkeypatch.delenv("DIALOGFORGE_BASE_URL", raising=False)
         spec = write_spec(tmp_path / "spec.json", backend={"model": "m"})

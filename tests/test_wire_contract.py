@@ -2,7 +2,9 @@
 
 Each request the mock server sees answers with a drawn behaviour: ``ok`` (a
 reply that is a function of the request), ``status`` (HTTP 500), ``raw`` (a
-malformed 200 body) or ``drop`` (the connection closes with no response).
+malformed 200 body), ``drop`` (the connection closes with no response) or
+``stale`` (an ``ok`` reply, after which the server closes the connection
+without saying so, as it would an idle one).
 A small model of the contract says, from the drawn behaviours alone, which
 files a run writes, which ``wrote``/``error`` lines it prints in which order,
 its exit code and how many requests the server sees per dialog. Every run is
@@ -46,7 +48,7 @@ FAILURES = {
     "drop": "transport failure talking to",
 }
 # a dialog's behaviours, one per request it sends; past the list every request is ok
-plans = st.lists(st.sampled_from(["ok", "ok", "ok", "status", "raw", "drop", "drop"]),
+plans = st.lists(st.sampled_from(["ok", "ok", "ok", "status", "raw", "drop", "drop", "stale"]),
                  max_size=8)
 EXAMPLES = settings(max_examples=12, deadline=None)
 WORKERS = pytest.mark.parametrize("workers", [1, 2, 4, 8])
@@ -56,15 +58,22 @@ def model(plan: list[str], turns: int) -> tuple[int, str | None]:
     """(requests sent, failure message or None) of a dialog of ``turns`` turns.
 
     Each turn is one request; a drop is retried exactly once, and a status
-    or a malformed body is not retried.
+    or a malformed body is not retried. After a stale reply, the dialog's
+    next attempt fails without reaching the server, and that failure is the
+    one retry.
     """
     behaviours = iter(plan)
     sent = 0
+    stale = False  # the server closed the connection the next attempt goes out on
     for _ in range(turns):
         for _attempt in range(2):
+            if stale:
+                stale = False
+                continue
             kind = next(behaviours, "ok")
             sent += 1
-            if kind == "ok":
+            if kind in ("ok", "stale"):
+                stale = kind == "stale"
                 break
             if kind != "drop":
                 return sent, FAILURES[kind]
@@ -79,6 +88,9 @@ def test_model():
     assert model(["ok", "drop", "drop"], 3) == (3, FAILURES["drop"])
     assert model(["status"], 3) == (1, FAILURES["status"])
     assert model(["drop", "raw"], 3) == (2, FAILURES["raw"])
+    assert model(["stale", "ok", "stale"], 3) == (3, None)
+    assert model(["stale", "drop"], 3) == (2, FAILURES["drop"])
+    assert model(["ok", "stale"], 2) == (2, None)  # no request goes out after the last turn
 
 
 class Harness:
@@ -106,7 +118,9 @@ class Harness:
                 seen[dialog] += 1
             plan = plans.get(dialog, [])
             kind = plan[n] if n < len(plan) else "ok"
-            return wire_reply(body) if kind == "ok" else RESPONSES[kind]
+            if kind in ("ok", "stale"):
+                return (kind, wire_reply(body)[1])
+            return RESPONSES[kind]
 
         self.server.behave = behave
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
