@@ -235,7 +235,7 @@ class Agent:
             events.append(_utter(turns[-1], len(events)))
             if ended:
                 break
-            incoming = text
+            incoming = turns[-1].text  # as stored: without trailing newlines
             speaker, listener = listener, speaker
         return Dialog(
             id=id,

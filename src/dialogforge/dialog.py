@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from itertools import pairwise
 from pathlib import Path
@@ -427,9 +428,11 @@ def _format_for(path: Path) -> Format:
 def write_text_atomic(path: Path, text: str) -> None:
     """Write UTF-8 text through a temp file in the target directory and
     ``os.replace``: a killed process leaves the old or the new content (no
-    fsync, so this does not hold across a power loss)."""
+    fsync, so this does not hold across a power loss). The temp file is named
+    after the process and thread, so concurrent writers of one path each
+    write their own."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         temp.write_text(text, encoding="utf-8")
         os.replace(temp, path)

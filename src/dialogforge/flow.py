@@ -179,14 +179,8 @@ def _embed_rows(texts: Sequence[str]) -> _Rows:
             buckets.extend(map(_bucket, tokens))
         keys = np.arange(0, len(lengths) * EMBED_DIM, EMBED_DIM).repeat(lengths)
         keys += np.array(buckets, dtype=np.intp)
-        keys.sort()
-        # the end of each run of equal keys, and the run's length
-        last = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=last[:-1])
-        ends = np.flatnonzero(last) + 1
-        counts = ends.copy()
-        counts[1:] -= ends[:-1]
-        rows, columns = np.divmod(keys[ends - 1], EMBED_DIM)
+        keys, counts = np.unique(keys, return_counts=True)
+        rows, columns = np.divmod(keys, EMBED_DIM)
         squares = np.bincount(rows, weights=counts * counts, minlength=len(lengths))
         # a row with a token has a norm of at least 1; a row without one has no entries
         norms = np.sqrt(np.maximum(squares, 1))
@@ -352,10 +346,7 @@ def cluster(vectors: Sequence[np.ndarray], k: int, seed: int) -> ClusterModel:
         if dense.ndim != 2 or len(dense) == 0:
             raise ConfigError("cluster() needs a non-empty list of vectors")
         points = _as_rows(dense)
-    # min and max are NaN if any entry is, so max() keeps it
-    values = points.values
-    magnitude = max(-float(values.min(initial=0.0)), float(values.max(initial=0.0)))
-    if not math.isfinite(magnitude):
+    if not np.isfinite(points.values).all():
         raise ConfigError("cluster() needs finite vectors; got NaN or infinity")
 
     distinct_rows = _first_occurrences(points)
@@ -475,7 +466,7 @@ def validate_flow_graph(graph: FlowGraph) -> None:
             raise ConfigError(f"outgoing probabilities of {source} sum to {total}")
 
 
-def _medoid(indices: list[int], rows: _Rows, mean_vector: np.ndarray,
+def _medoid(indices: np.ndarray, rows: _Rows, mean_vector: np.ndarray,
             dots: np.ndarray, squared_norms: np.ndarray) -> int:
     """Member index with maximal ``cosine`` to the cluster mean (ties: first).
 
@@ -499,7 +490,7 @@ def _medoid(indices: list[int], rows: _Rows, mean_vector: np.ndarray,
     if not 1e-140 <= mean_norm <= 1e140:
         bounded[:] = False
     best = float(scores[bounded].max(initial=-np.inf))
-    members = np.asarray(indices)[np.flatnonzero(~bounded | (scores >= best - 2.0 * slack))]
+    members = indices[np.flatnonzero(~bounded | (scores >= best - 2.0 * slack))]
     scored = ((cosine(row, mean_vector), member)
               for chunk, dense in _dense_rows(rows, members, rows.d)
               for member, row in zip(chunk.tolist(), dense))
@@ -574,6 +565,8 @@ def build_flow_graph(
     clusters and the other floor(k/2). ``k`` is the abstraction knob:
     higher k, finer-grained action nodes.
     """
+    import numpy as np
+
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ConfigError(f"k must be an integer, got {k!r}")
     side_of: dict[str, int] = {}
@@ -621,13 +614,12 @@ def build_flow_graph(
                 f"has only {distinct[side_index]} distinct utterance vectors; "
                 f"the largest usable k is {largest}"
             ) from exc
-        groups: dict[int, list[int]] = {}
-        for j, cluster_id in enumerate(model.assignments):
-            groups.setdefault(cluster_id, []).append(j)
         # each final centroid is its members' mean, bit for bit
         dots = _products(rows, model.centroids)
         squared_norms = _squared_norms(rows)
-        for cluster_id, group in sorted(groups.items()):
+        cluster_of = np.array(model.assignments)
+        for cluster_id in range(side_ks[side_index]):  # k-means leaves no cluster empty
+            group = np.flatnonzero(cluster_of == cluster_id)
             medoid = _medoid(group, rows, model.centroids[cluster_id],
                              dots[group, cluster_id], squared_norms[group])
             nodes.append(FlowNode(id=f"s{side_index}c{cluster_id}", speaker_side=side,

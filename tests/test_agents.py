@@ -273,6 +273,17 @@ class TestDialogWith:
         a.dialog_with(b)
         assert any(m.role == "user" and m.content == "Hello Bob!" for m in b.memory)
 
+    def test_partner_is_sent_the_stored_text_without_trailing_newlines(self):
+        class Recording(ScriptedBackend):
+            def _complete(self, messages, params):
+                self.sent = [m.content for m in messages if m.role == "user"]
+                return super()._complete(messages, params)
+
+        a = Agent(ScriptedBackend(["hi\n\n"]), ALICE)
+        b = Agent(Recording(["Bye! [END]"]), BOB)
+        assert a.dialog_with(b).turns[0].text == "hi"
+        assert b.backend.sent == ["hi"]
+
     def test_marker_mid_text_does_not_terminate(self):
         a = Agent(ScriptedBackend(["the [END] marker mid-sentence", "bye [END]"]), ALICE)
         b = Agent(ScriptedBackend(["ok"], cycle=True), BOB)

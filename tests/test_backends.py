@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -463,6 +464,32 @@ class TestConnectionReuse:
         assert backend.complete(SYSTEM, PARAMS) == "three"
         first, dropped, second, third = ports(mock)
         assert len({first, dropped, second}) == 3 and third == second
+
+    def test_interrupt_propagates_without_retry_and_drops_the_connection(self, mock, monkeypatch):
+        request, getresponse = http.client.HTTPConnection.request, http.client.HTTPConnection.getresponse
+        attempts: list[int | None] = []  # each send's client port, None if it failed
+
+        def counted(connection, *args, **kwargs):
+            attempts.append(None)
+            request(connection, *args, **kwargs)
+            attempts[-1] = connection.sock.getsockname()[1]
+
+        def interrupted_once(connection):
+            if len(attempts) == 1:
+                raise KeyboardInterrupt
+            return getresponse(connection)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", counted)
+        monkeypatch.setattr(http.client.HTTPConnection, "getresponse", interrupted_once)
+        backend = HttpBackend(mock.url, "m", api_key="k")
+        with pytest.raises(KeyboardInterrupt):
+            backend.complete(SYSTEM, PARAMS)
+        assert len(attempts) == 1
+        # a connection left mid-exchange would refuse the next send and use up its retry
+        assert backend.complete(SYSTEM, PARAMS) == "Hi"
+        assert len(attempts) == 2 and None not in attempts
+        # the interrupted request may reach the server after this one
+        assert attempts[0] != attempts[1] and attempts[1] in ports(mock)
 
     def test_close_releases_the_connection(self, mock):
         backend = HttpBackend(mock.url, "m", api_key="k")

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -24,6 +26,7 @@ from dialogforge import (
     serialize_dialog,
     write_dialog_file,
 )
+from dialogforge.dialog import write_text_atomic
 from conftest import random_dialog
 
 
@@ -340,6 +343,37 @@ class TestFileIO:
         with pytest.raises(UnicodeEncodeError):
             write_dialog_file(broken, path)
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["dialog.json"]
+
+    def test_threads_writing_one_path_never_tear_it(self, tmp_path):
+        path = tmp_path / "dialog.json"
+        contents = ["a" * 4096, "b" * 4096]
+        barrier = threading.Barrier(len(contents))
+        failures: list[BaseException] = []
+        seen: set[str] = set()
+
+        def writer(text):
+            barrier.wait()
+            try:
+                for _ in range(300):
+                    write_text_atomic(path, text)
+                    seen.add(path.read_text(encoding="utf-8"))
+            except BaseException as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(text,)) for text in contents]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert seen <= set(contents)
         assert [p.name for p in tmp_path.iterdir()] == ["dialog.json"]
 
     def test_unknown_extension(self, tmp_path):

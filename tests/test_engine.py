@@ -90,7 +90,7 @@ def reference_dialog_with(first: Agent, other: Agent, id: int | None, seed: int,
         dialog = dialog.append_utterance(speaker.name, text, len(dialog.events))
         if ended:
             break
-        incoming = text
+        incoming = dialog.turns[-1].text
         speaker, listener = listener, speaker
     return dialog
 
