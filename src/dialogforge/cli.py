@@ -256,6 +256,8 @@ def _load_run(spec_path: str, output_dir: str | None, seed: int | None,
     """The run spec with --output-dir, --seed (else spec, else entropy) and --max-turns."""
     from .seeding import entropy_seed
 
+    if max_turns is not None and max_turns <= 0:
+        raise ConfigError("'--max-turns' must be a positive integer")
     spec = load_runspec(spec_path)
     if seed is None:
         seed = entropy_seed() if spec.seed is None else spec.seed
@@ -263,15 +265,17 @@ def _load_run(spec_path: str, output_dir: str | None, seed: int | None,
                    max_turns=spec.max_turns if max_turns is None else max_turns)
 
 
-# dialogs a wire-backend run keeps in flight; scripted dialogs are pure-Python
-# work under the GIL, and running them one at a time keeps the serial prompt order.
-# Each request costs the client ~0.3 ms of GIL-bound CPU in http.client on a
-# kept-alive connection (~0.6 ms with a new connection per request). On two
-# cores, one busy loop beside a 40-dialog wire batch (10 ms server delay) cost
-# 1 worker 0.1% of its dialogs per second (7.40 -> 7.39), 4 workers 0.6%
-# (25.3 -> 25.1) and 6 workers 4.5% (33.2 -> 31.7): past 4 the client competes
-# for the cores, and a run's time moves with the load beside it
-WIRE_WORKERS = 4
+# dialogs a wire-backend run keeps in flight, each on its own backend and connection;
+# scripted dialogs are pure-Python work under the GIL, and running them one at a time
+# keeps the serial prompt order. A 40-dialog wire batch child spends ~1.4-1.7 ms of
+# user+system CPU per completion, start-up included, so on two cores a run with more
+# workers follows the load beside it more. One busy loop beside such a batch (10 ms
+# server delay, two shared cores, median of 56 paired rounds) cost 1 worker -0.2% of
+# its dialogs per second (7.3 alone), 4 workers 2.8% (24.6), 5 workers 3.9% (29.2)
+# and 6 workers 3.7% (32.9). The 1-point margin over 4 workers that a count must keep
+# is at this method's noise: the 90% intervals of the excess are -0.3..2.7 points at
+# 5 and -1.1..2.6 at 6 (CHANGES.md has the table)
+WIRE_WORKERS = 5
 
 
 def _run_one(spec: RunSpec, wire: dict[str, str | None],

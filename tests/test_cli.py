@@ -136,11 +136,12 @@ class TestGenerate:
         assert len(read_dialog_file(tmp_path / "out" / "dialog_001.json")) == 12
 
     def test_max_turns_zero_exits_1(self, runner, spec_path, tmp_path):
-        result = runner.invoke(main, ["generate", "--spec", str(spec_path),
-                                      "--max-turns", "0"])
-        assert result.exit_code == 1
-        assert result.output.startswith("error: ")
-        assert not (tmp_path / "out").exists()
+        for value in ("0", "-3"):
+            result = runner.invoke(main, ["generate", "--spec", str(spec_path),
+                                          "--max-turns", value])
+            assert result.exit_code == 1
+            assert result.output == "error: '--max-turns' must be a positive integer\n"
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("overrides, message", [
         ({"maxTurns": 0}, "'maxTurns' must be a positive integer"),
@@ -222,11 +223,13 @@ class TestBatch:
         assert [len(read_dialog_file(path)) for path in paths] == [3, 3, 3]
 
     def test_max_turns_zero_exits_1(self, runner, spec_path, tmp_path):
-        result = runner.invoke(main, ["batch", "--spec", str(spec_path), "-n", "2",
-                                      "--max-turns", "0"])
-        assert result.exit_code == 1
-        assert "error: dialog 0 failed: " in result.output
-        assert not (tmp_path / "out").exists()
+        # rejected like the spec's maxTurns, before a pool or backend is built
+        for value in ("0", "-3"):
+            result = runner.invoke(main, ["batch", "--spec", str(spec_path), "-n", "2",
+                                          "--max-turns", value])
+            assert result.exit_code == 1
+            assert result.output == "error: '--max-turns' must be a positive integer\n"
+            assert not (tmp_path / "out").exists()
 
     def test_backend_exhaustion_names_index_exits_2(self, runner, tmp_path):
         spec = write_spec(tmp_path / "spec.json",

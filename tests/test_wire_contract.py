@@ -8,8 +8,9 @@ without saying so, as it would an idle one).
 A small model of the contract says, from the drawn behaviours alone, which
 files a run writes, which ``wrote``/``error`` lines it prints in which order,
 its exit code and how many requests the server sees per dialog. Every run is
-checked against that model at 1, 2, 4 and 8 workers, and every file it
-writes against a serial run with no failure.
+checked against that model at 1, 2, 4 and 8 workers and at the shipped
+``cli.WIRE_WORKERS``, and every file it writes against a serial run with no
+failure.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ FAILURES = {
 plans = st.lists(st.sampled_from(["ok", "ok", "ok", "status", "raw", "drop", "drop", "stale"]),
                  max_size=8)
 EXAMPLES = settings(max_examples=12, deadline=None)
-WORKERS = pytest.mark.parametrize("workers", [1, 2, 4, 8])
+WORKERS = pytest.mark.parametrize("workers", sorted({1, 2, 4, cli.WIRE_WORKERS, 8}))
 
 
 def model(plan: list[str], turns: int) -> tuple[int, str | None]:
@@ -211,3 +212,25 @@ def test_star_run_follows_contract(harness, reference, workers, ids, drawn):
     codes = [1 if i == MISSING_ID else 2 if expected[i][1] else 0 for i in ids]
     assert result.exit_code == max(codes), result.output
     assert {i: seen[i] for i in expected} == {i: sent for i, (sent, _) in expected.items()}
+
+
+def test_each_dialog_sends_on_its_own_connections(harness, reference):
+    # on one worker both dialogs run on one thread: had dialog 0's connection
+    # outlived its stale last reply, dialog 1's first attempt would fail on it
+    # without reaching the server and use up the retry that its drop needs
+    names = ["dialog_000.json", "dialog_001.json"]
+    turns = [reference[name][1] for name in names]
+    drawn = {0: ["ok"] * (turns[0] - 1) + ["stale"], 1: ["drop"]}
+    expected = [model(drawn[i], turns[i]) for i in range(2)]
+    assert [error for _, error in expected] == [None, None]
+    dialog_of = dialog_of_seed(BASE_SEED, range(2))
+    before = len(harness.server.requests)
+
+    result, _, files, seen = harness.run(["batch", "-n", "2"], drawn, dialog_of, 1)
+
+    assert result.exit_code == 0, result.output
+    assert files == {name: reference[name][0] for name in names}
+    assert [seen[0], seen[1]] == [sent for sent, _ in expected] == [3, 4]
+    ports = [{r["port"] for r in harness.server.requests[before:]
+              if dialog_of[r["body"]["seed"]] == i} for i in range(2)]
+    assert not ports[0] & ports[1]
