@@ -3,7 +3,9 @@
 Workflows are driven by a declarative JSON run spec (see README for the
 format) with flags overriding spec fields. Exit codes are a stable
 contract: 0 success, 1 configuration/input error, 2 backend/wire error.
-Artifacts go to files or stdout; diagnostics go to stderr.
+A usage error (an unknown option, a missing or ill-typed argument, no
+``star-run`` id) is an input error. Artifacts go to files or stdout;
+diagnostics go to stderr.
 
 ``batch`` seeds dialog i with base+i, ``star-run`` seeds scenario id with
 base+id. ``star-run`` uses only backend, seed, maxTurns and outputDir (the
@@ -17,21 +19,22 @@ a time; scripted dialogs run one at a time. Either way files, seeds, stderr
 lines, messages and exit codes are those of a serial run: results are
 written in index (or id) order. After a ``batch`` dialog fails, no dialog
 with a higher index starts; dialogs in flight finish and are not written.
-On Ctrl-C, dialogs in flight finish before the command exits.
+On Ctrl-C, dialogs in flight finish, then the command exits 1 with
+``error: interrupted``.
 """
 
 from __future__ import annotations
 
+import argparse
 import functools
 import glob as globlib
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
-
-import click
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn
 
 from .dialog import (
     Dialog,
@@ -206,49 +209,13 @@ def make_agents(spec: RunSpec, backend: Backend) -> tuple[Agent, Agent]:
 
 
 def _fail(message: str, code: int) -> "SystemExit":
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     return SystemExit(code)
 
 
 def _exit_code(exc: Exception) -> int:
     """The documented exit code of a failed run: 2 backend/wire, 1 input."""
     return 2 if isinstance(exc, BackendError) else 1
-
-
-def handle_errors(fn):
-    """Map package errors onto the documented exit codes."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (DialogForgeError, OSError) as exc:
-            raise _fail(str(exc), _exit_code(exc)) from exc
-
-    return wrapper
-
-
-@click.group()
-def main():
-    """Generate, orchestrate, inspect, and analyze synthetic dialogues."""
-
-
-def _options(*options):
-    """One decorator adding ``options`` in the order given."""
-    return lambda fn: functools.reduce(lambda f, option: option(f), reversed(options), fn)
-
-
-_spec_options = _options(
-    click.option("--spec", "spec_path", required=True, type=click.Path(),
-                 help="Path to the JSON run spec."),
-    click.option("--output-dir", default=None, help="Override the spec's output directory."),
-    click.option("--seed", default=None, type=int, help="Override the spec's base seed."),
-)
-_wire_options = _options(  # each command hands them to make_backend as **wire
-    click.option("--base-url", default=None, help="Override the backend base URL."),
-    click.option("--model", default=None, help="Override the backend model name."),
-    click.option("--api-key", default=None, help="Override the backend API key."),
-)
 
 
 def _load_run(spec_path: str, output_dir: str | None, seed: int | None,
@@ -325,13 +292,6 @@ def _run_in_order(spec: RunSpec, ids: Iterable[int], job: Callable[[int], Dialog
         pool.shutdown(cancel_futures=True)
 
 
-@main.command()
-@_spec_options
-@click.option("--id", "dialog_id", default=0, type=int, help="Dialog id (default 0).")
-@click.option("--max-turns", default=None, type=int, help="Override the spec's turn cap.")
-@click.option("--print", "do_print", is_flag=True, help="Render the dialog to stdout.")
-@_wire_options
-@handle_errors
 def generate(spec_path, output_dir, seed, dialog_id, max_turns, do_print, **wire):
     """Generate one dialogue from a run spec and write it as JSON."""
     spec = _load_run(spec_path, output_dir, seed, max_turns)
@@ -341,20 +301,13 @@ def generate(spec_path, output_dir, seed, dialog_id, max_turns, do_print, **wire
         dialog = future.result()
         path = write_dialog_file(dialog, Path(spec.output_dir) / f"dialog_{i:03d}.json")
         if do_print:
-            click.echo(render_dialog(dialog, show_orchestration=True), nl=False)
-        click.echo(f"wrote {path}", err=True)
+            print(render_dialog(dialog, show_orchestration=True), end="", flush=True)
+        print(f"wrote {path}", file=sys.stderr)
 
     _run_in_order(spec, [dialog_id], lambda i: _run_one(spec, wire, agents, i, spec.seed),
                   write)
 
 
-@main.command()
-@_spec_options
-@click.option("-n", "--count", "count", required=True, type=int,
-              help="How many dialogues to generate.")
-@click.option("--max-turns", default=None, type=int, help="Override the spec's turn cap.")
-@_wire_options
-@handle_errors
 def batch(spec_path, output_dir, seed, count, max_turns, **wire):
     """Generate N dialogues as dialog_000.json ... with seeds base+0..base+N-1."""
     if count <= 0:
@@ -381,18 +334,11 @@ def batch(spec_path, output_dir, seed, count, max_turns, **wire):
         except (DialogForgeError, OSError) as exc:
             # earlier files are kept; report where the batch stopped
             raise _fail(f"dialog {i} failed: {exc}", _exit_code(exc)) from exc
-        click.echo(f"wrote {path}", err=True)
+        print(f"wrote {path}", file=sys.stderr)
 
     _run_in_order(spec, range(count), job, write)
 
 
-@main.command("star-run")
-@click.option("--root", "root_path", required=True, type=click.Path(),
-              help="Dataset root directory.")
-@_spec_options
-@click.argument("ids", nargs=-1, type=int)
-@_wire_options
-@handle_errors
 def star_run(root_path, spec_path, output_dir, seed, ids, **wire):
     """Simulate dialogues for dataset scenario IDS, one file per id."""
     from .scenarios import agents_for_scenario, load_scenario, set_dataset_root
@@ -413,31 +359,20 @@ def star_run(root_path, spec_path, output_dir, seed, ids, **wire):
             path = write_dialog_file(future.result(),
                                      Path(spec.output_dir) / f"star_dialog_{dialog_id}.json")
         except (DialogForgeError, OSError) as exc:
-            click.echo(f"error: scenario {dialog_id}: {exc}", err=True)
+            print(f"error: scenario {dialog_id}: {exc}", file=sys.stderr)
             code = max(code, _exit_code(exc))
         else:
-            click.echo(f"wrote {path}", err=True)
+            print(f"wrote {path}", file=sys.stderr)
 
     _run_in_order(spec, ids, job, write)
     if code:
         raise SystemExit(code)
 
 
-@main.command("print")
-@click.argument("file", type=click.Path())
-@click.option("--scenario", "show_scenario", is_flag=True,
-              help="Show scenario metadata header.")
-@click.option("--orchestration", "show_orchestration", is_flag=True,
-              help="Interleave orchestration events.")
-@handle_errors
 def print_cmd(file, show_scenario, show_orchestration):
     """Pretty-print a dialogue file (.json structured, .txt plain)."""
-    dialog = read_dialog_file(file)
-    click.echo(
-        render_dialog(dialog, show_scenario=show_scenario,
-                      show_orchestration=show_orchestration),
-        nl=False,
-    )
+    print(render_dialog(read_dialog_file(file), show_scenario=show_scenario,
+                        show_orchestration=show_orchestration), end="", flush=True)
 
 
 def _read_dialogs(pattern: str) -> Iterator[tuple[str, Dialog]]:
@@ -446,17 +381,11 @@ def _read_dialogs(pattern: str) -> Iterator[tuple[str, Dialog]]:
         try:
             dialog = read_dialog_file(path)
         except (DialogForgeError, OSError) as exc:
-            click.echo(f"warning: skipping {path}: {exc}", err=True)
+            print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             continue
         yield path, dialog
 
 
-@main.command("filter")
-@click.argument("pattern")
-@click.option("--min-turns", default=0, type=int, help="Keep dialogs with >= N turns.")
-@click.option("--contains", default=None,
-              help="Keep dialogs with a turn containing this text (case-insensitive).")
-@handle_errors
 def filter_cmd(pattern, min_turns, contains):
     """List dialogue files matching length/content criteria."""
     matches = []
@@ -468,21 +397,13 @@ def filter_cmd(pattern, min_turns, contains):
         ):
             continue
         matches.append(path)
-        click.echo(path)
+        print(path, flush=True)  # each path keeps its place among the warnings on stderr
     summary = f"Found {len(matches)} dialogues with at least {min_turns} turns"
     if contains is not None:
         summary += f" containing {contains!r}"
-    click.echo(summary + ".", err=True)
+    print(summary + ".", file=sys.stderr)
 
 
-@main.command("flow")
-@click.argument("pattern")
-@click.option("--k", "k", required=True, type=int,
-              help="Total number of action clusters (abstraction level).")
-@click.option("--seed", default=0, type=int, help="Clustering seed.")
-@click.option("--out", "out_path", required=True, type=click.Path(),
-              help="Where to write the DOT file.")
-@handle_errors
 def flow_cmd(pattern, k, seed, out_path):
     """Extract an action-transition graph from a dialogue corpus as DOT."""
 
@@ -497,10 +418,88 @@ def flow_cmd(pattern, k, seed, out_path):
     graph = build_flow_graph(dialogs(), k=k, seed=seed)
     out = Path(out_path)
     write_text_atomic(out, flow_to_dot(graph))
-    click.echo(
-        f"wrote flow graph ({len(graph.nodes)} nodes, {len(graph.edges)} edges) to {out}",
-        err=True,
-    )
+    print(f"wrote flow graph ({len(graph.nodes)} nodes, {len(graph.edges)} edges) to {out}",
+          file=sys.stderr)
+
+
+# each command's function and its parser's arguments, in --help order: the
+# argument's names, space-separated, and its add_argument keywords
+_SPEC_ARGS = {"--spec": dict(dest="spec_path", required=True, help="Path to the JSON run spec."),
+              "--output-dir": dict(help="Override the spec's output directory."),
+              "--seed": dict(type=int, help="Override the spec's base seed.")}
+_MAX_TURNS_ARG = {"--max-turns": dict(type=int, help="Override the spec's turn cap.")}
+_WIRE_ARGS = {"--base-url": dict(help="Override the backend base URL."),  # make_backend's **wire
+              "--model": dict(help="Override the backend model name."),
+              "--api-key": dict(help="Override the backend API key.")}
+_COMMANDS: dict[str, tuple[Callable[..., None], dict[str, dict[str, Any]]]] = {
+    "generate": (generate, {
+        **_SPEC_ARGS,
+        "--id": dict(dest="dialog_id", default=0, type=int, help="Dialog id (default 0)."),
+        **_MAX_TURNS_ARG,
+        "--print": dict(dest="do_print", action="store_true", help="Render the dialog to stdout."),
+        **_WIRE_ARGS}),
+    "batch": (batch, {
+        **_SPEC_ARGS,
+        "-n --count": dict(required=True, type=int, help="How many dialogues to generate."),
+        **_MAX_TURNS_ARG,
+        **_WIRE_ARGS}),
+    "star-run": (star_run, {
+        "--root": dict(dest="root_path", required=True, help="Dataset root directory."),
+        **_SPEC_ARGS,
+        "ids": dict(nargs="+", type=int, metavar="IDS"),
+        **_WIRE_ARGS}),
+    "print": (print_cmd, {
+        "file": dict(metavar="FILE"),
+        "--scenario": dict(dest="show_scenario", action="store_true",
+                           help="Show scenario metadata header."),
+        "--orchestration": dict(dest="show_orchestration", action="store_true",
+                                help="Interleave orchestration events.")}),
+    "filter": (filter_cmd, {
+        "pattern": dict(metavar="PATTERN"),
+        "--min-turns": dict(default=0, type=int, help="Keep dialogs with >= N turns."),
+        "--contains": dict(
+            help="Keep dialogs with a turn containing this text (case-insensitive).")}),
+    "flow": (flow_cmd, {
+        "pattern": dict(metavar="PATTERN"),
+        "--k": dict(required=True, type=int,
+                    help="Total number of action clusters (abstraction level)."),
+        "--seed": dict(default=0, type=int, help="Clustering seed."),
+        "--out": dict(dest="out_path", required=True, help="Where to write the DOT file.")}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parses ``arguments`` and ``--help`` only; a usage error is an input error (exit 1)."""
+
+    def __init__(self, arguments: dict[str, dict[str, Any]] | None = None, **kwargs: Any):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        for names, options in (arguments or {}).items():
+            self.add_argument(*names.split(), **options)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise _fail(message, 1)
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Generate, orchestrate, inspect, and analyze synthetic dialogues."""
+    argv = sys.argv[1:] if args is None else list(args)
+    top = _Parser(prog=prog_name or "dialogforge", description=main.__doc__)
+    commands = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, (command, _) in _COMMANDS.items():
+        commands.add_parser(name, help=command.__doc__)
+    command, arguments = _COMMANDS[top.parse_args(argv[:1]).command]
+    # read intermixed, star-run's ids may come before, between or after its options
+    parser = _Parser(arguments, prog=f"{top.prog} {argv[0]}", description=command.__doc__)
+    options = parser.parse_intermixed_args(argv[1:])
+    try:
+        command(**vars(options))
+    except (DialogForgeError, OSError) as exc:
+        raise _fail(str(exc), _exit_code(exc)) from exc
+    except KeyboardInterrupt:
+        # dialogs in flight have finished by now: _run_in_order waits for them
+        raise _fail("interrupted", 1) from None
 
 
 if __name__ == "__main__":

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from dialogforge import Dialog, Event
+from helpers import invoke
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -17,9 +19,8 @@ def star_root() -> Path:
 
 @pytest.fixture
 def runner():
-    from click.testing import CliRunner
-
-    return CliRunner()
+    """``runner.invoke(main, args)`` runs the CLI in this process (see helpers.invoke)."""
+    return SimpleNamespace(invoke=invoke)
 
 
 def random_dialog(rng: random.Random, plain_safe: bool = True) -> Dialog:

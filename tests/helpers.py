@@ -1,4 +1,4 @@
-"""Shared test doubles and independent oracles.
+"""Shared test doubles, independent oracles and an in-process CLI invoker.
 
 The oracle implementations here (hashed term-frequency embedding, bigram
 transition counting) are deliberately written from scratch in plain
@@ -8,8 +8,12 @@ serve as an independent second route for the same answers.
 
 from __future__ import annotations
 
+import io
 import math
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
+from typing import Callable
 
 from dialogforge import Backend, Dialog, Message, SamplingParams
 from dialogforge.orchestrators import MESSAGES
@@ -40,6 +44,44 @@ class EagerBackend(Backend):
         if any(m.role == "system" and CONTINUE_TEXT in m.content for m in messages):
             return "Sure, happy to keep chatting."
         return "I think we are done here. [END]"
+
+
+class _Capture(io.StringIO):
+    """A text stream that also copies each write to ``both``, in write order."""
+
+    def __init__(self, both: io.StringIO):
+        super().__init__()
+        self.both = both
+
+    def write(self, text: str) -> int:
+        self.both.write(text)
+        return super().write(text)
+
+
+@dataclass
+class Result:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved in write order
+    exception: BaseException | None  # a non-zero SystemExit, or an uncaught exception
+
+
+def invoke(main: Callable[..., None], args: list[str]) -> Result:
+    """Run ``main(args=args)`` in this process with stdout and stderr captured."""
+    both = io.StringIO()
+    out, err = _Capture(both), _Capture(both)
+    exception: BaseException | None = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(args=args)
+            code = 0
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exception = exc if code else None
+        except Exception as exc:
+            code, exception = 1, exc
+    return Result(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
 
 
 def respond(agent, incoming: str | None = "hi") -> tuple[str, list]:

@@ -13,13 +13,16 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import dialogforge.cli as cli
 from dialogforge import read_dialog_file, serialize_dialog
 from dialogforge.cli import main
 from dialogforge.seeding import derive_seed
+from helpers import invoke
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # a script without the end marker, so only the turn cap ends a dialog
 ENDLESS = {"scripted": ["Hi there.", "Hello.", "How are you?", "Fine, thanks."]}
@@ -266,6 +269,13 @@ class TestStarRun:
             assert dialog.id == dialog_id
             assert set(dialog.personas) == {"System", "User"}
 
+    def test_ids_around_options(self, runner, spec_path, star_root, tmp_path):
+        result = runner.invoke(main, ["star-run", "101", "--root", str(star_root),
+                                      "--spec", str(spec_path), "102"])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "star_dialog_101.json", "star_dialog_102.json"]
+
     def test_personas_reflect_scenario_tasks(self, runner, spec_path, star_root, tmp_path):
         runner.invoke(main, ["star-run", "--root", str(star_root),
                              "--spec", str(spec_path), "101"])
@@ -350,10 +360,15 @@ class TestStarRun:
             assert result.exit_code == 1
             assert "orchestrator references unknown persona 'Nobody'" in result.output
 
-    def test_empty_id_list_ok(self, runner, spec_path, star_root):
+    def test_empty_id_list_is_usage_error(self, runner, spec_path, star_root, tmp_path):
         result = runner.invoke(main, ["star-run", "--root", str(star_root),
                                       "--spec", str(spec_path)])
-        assert result.exit_code == 0
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
+            "error: the following arguments are required: IDS"]
+        assert result.stdout == ""
+        assert not (tmp_path / "out").exists()
 
     def test_bad_root_exits_1(self, runner, spec_path, tmp_path):
         result = runner.invoke(main, ["star-run", "--root", str(tmp_path / "nope"),
@@ -675,6 +690,40 @@ class TestConcurrentWireRuns:
         others = {p.name for p in out.iterdir()} - {p.name for p in written}
         assert all(name.startswith(".dialog_") and name.endswith(".tmp") for name in others)
 
+    def test_interrupted_batch_ends_with_one_error_line(self, wire_server, wire_spec,
+                                                        tmp_path):
+        wire_server.server.handle_error = lambda request, client_address: None
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        # stderr goes to a file: a pipe nobody reads could fill and stall the child
+        with open(tmp_path / "stderr.txt", "w") as stderr:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "dialogforge.cli", "batch", "--spec", str(wire_spec),
+                 "-n", "5000"],
+                env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+            try:
+                deadline = time.monotonic() + 60
+                while not list(out.glob("dialog_*.json")) and child.poll() is None:
+                    assert time.monotonic() < deadline, "no dialog file within 60 s"
+                    time.sleep(0.005)
+                child.send_signal(signal.SIGINT)
+                child.wait(timeout=60)
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait(timeout=10)
+        err = (tmp_path / "stderr.txt").read_text()
+        assert child.returncode == 1, err
+        assert err.splitlines()[-1] == "error: interrupted"
+        assert "Traceback" not in err
+        written = sorted(out.glob("dialog_*.json"))
+        assert 0 < len(written) < 5000
+        for path in written:
+            read_dialog_file(path).validate()
+        # the dialogs in flight finished; none was cut short
+        assert {p.name for p in out.iterdir()} == {p.name for p in written}
+
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
     """``dialogforge ARGS`` as a child process, whose stderr shows any traceback."""
@@ -764,3 +813,96 @@ class TestFlowCommand:
                                       "--k", "2", "--seed", "0",
                                       "--out", str(tmp_path / "x.dot")])
         assert result.exit_code == 1
+
+
+INT_OPTIONS = {"generate": ["--seed", "--id", "--max-turns"],
+               "batch": ["-n", "--seed", "--max-turns"], "star-run": ["--seed"],
+               "print": [], "filter": ["--min-turns"], "flow": ["--k", "--seed"]}
+LONG_OPTIONS = {
+    "generate": ["--spec", "--output-dir", "--seed", "--id", "--max-turns", "--print",
+                 "--base-url", "--model", "--api-key"],
+    "batch": ["--spec", "--output-dir", "--seed", "--count", "--max-turns", "--base-url",
+              "--model", "--api-key"],
+    "star-run": ["--root", "--spec", "--output-dir", "--seed", "--base-url", "--model",
+                 "--api-key"],
+    "print": ["--scenario", "--orchestration"],
+    "filter": ["--min-turns", "--contains"],
+    "flow": ["--k", "--seed", "--out"],
+}
+
+
+def _valid_units(tmp: Path) -> dict[str, list[tuple[str, ...]]]:
+    """Each command's valid arguments as units: an option with its value, or a
+    positional. Every unit is required."""
+    spec = str(write_spec(tmp / "spec.json"))
+    dialog = str(FIXTURES / "star" / "dialogues" / "101.json")
+    return {
+        "generate": [("--spec", spec)],
+        "batch": [("--spec", spec), ("-n", "1")],
+        "star-run": [("--root", str(FIXTURES / "star")), ("--spec", spec), ("101",)],
+        "print": [(dialog,)],
+        "filter": [(dialog,)],
+        "flow": [(dialog,), ("--k", "2"), ("--out", str(tmp / "flow.dot"))],
+    }
+
+
+def _not_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def usage_errors(draw, valid: dict[str, list[tuple[str, ...]]]) -> list[str]:
+    """One command's valid arguments with one usage error drawn into them."""
+    command = draw(st.sampled_from(sorted(valid)))
+    units = list(valid[command])
+    kinds = ["unknown", "missing", "stray", "-h", "abbreviated"]
+    kinds += ["non-int"] if INT_OPTIONS[command] else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "missing":
+        del units[draw(st.integers(0, len(units) - 1))]
+    else:
+        if kind == "unknown":
+            unit = (draw(st.sampled_from(["--bogus", "--verbose", "-x", "--spec-file",
+                                          "--seed2", "--help-me"])),)
+        elif kind == "stray":
+            unit = (draw(st.sampled_from(["stray", "x.json", "1.5"])),)
+        elif kind == "-h":
+            unit = ("-h",)
+        elif kind == "non-int":
+            value = draw(st.text(max_size=6).filter(_not_int))
+            unit = (draw(st.sampled_from(INT_OPTIONS[command])), value)
+        else:
+            option = draw(st.sampled_from([o for o in LONG_OPTIONS[command] if len(o) > 3]))
+            abbreviated = option[:draw(st.integers(3, len(option) - 1))]
+            assume(abbreviated not in LONG_OPTIONS[command])
+            unit = (abbreviated, "1")
+        units.insert(draw(st.integers(0, len(units))), unit)
+    return [command, *(token for unit in units for token in unit)]
+
+
+class TestUsageErrors:
+    """A usage error is an input error: exit 1 with one ``error:`` line, never 2."""
+
+    @pytest.fixture(scope="class")
+    def valid(self, tmp_path_factory):
+        return _valid_units(tmp_path_factory.mktemp("usage"))
+
+    def test_valid_units_run(self, valid):
+        for command, units in valid.items():
+            args = [command, *(token for unit in units for token in unit)]
+            result = invoke(main, args)
+            assert result.exit_code == 0, (args, result.output)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_usage_error_exits_1_property(self, valid, data):
+        args = data.draw(usage_errors(valid))
+        result = invoke(main, args)
+        assert result.exit_code == 1, (args, result.output)
+        assert isinstance(result.exception, SystemExit), (args, result.exception)
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, (args, result.output)

@@ -18,7 +18,6 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dialogforge import (
@@ -31,6 +30,7 @@ from dialogforge import (
     deserialize_dialog,
 )
 from dialogforge.cli import load_runspec, main, make_agents, make_backend
+from helpers import invoke
 
 STAR = Path(__file__).parent / "fixtures" / "star"
 
@@ -169,9 +169,10 @@ def _write(path: Path, doc) -> Path:
 
 
 def _cli(args: list[str], cwd: Path):
-    runner = CliRunner()
-    with runner.isolated_filesystem(temp_dir=cwd):
-        return runner.invoke(main, args)
+    """``dialogforge ARGS`` run from a fresh temporary directory under ``cwd``."""
+    with tempfile.TemporaryDirectory(dir=cwd) as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        return invoke(main, args)
 
 
 def assert_one_error_line(result) -> None:

@@ -1,8 +1,8 @@
 """What each command loads: numpy and the stdlib HTTP client arrive only with
-the code that uses them, requests never does, the read commands load only the
-dialog model, the errors, the CLI and the flow module of the package and no
-thread pool, and the first import of the HTTP client from several pool threads
-at once gives the same files as a serial run.
+the code that uses them, requests and click never do, the read commands load
+only the dialog model, the errors, the CLI and the flow module of the package
+and no thread pool, and the first import of the HTTP client from several pool
+threads at once gives the same files as a serial run.
 
 Every case runs in a fresh interpreter, since the test process has long since
 imported both modules.
@@ -26,7 +26,7 @@ from test_cli import SRC, wire_reply, write_spec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DIALOG = FIXTURES / "star" / "dialogues" / "101.json"
-HEAVY = ("numpy", "requests", "http.client")
+HEAVY = ("numpy", "requests", "http.client", "click")
 POOL = "concurrent.futures"
 # the package modules print, filter, flow and --help load
 READ_PATH = ["dialogforge", "dialogforge.cli", "dialogforge.dialog", "dialogforge.errors",

@@ -21,12 +21,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import dialogforge.cli as cli
 from dialogforge import deserialize_dialog
 from dialogforge.cli import main
+from helpers import invoke
 from test_backends import MockServer
 from test_cli import dialog_of_seed, wire_reply, write_spec
 
@@ -100,13 +100,12 @@ class Harness:
     def __init__(self, server: MockServer, spec: Path):
         self.server = server
         self.spec = spec
-        self.runner = CliRunner()
 
     def run(self, args: list[str], plans: dict[int, list[str]], dialog_of: dict[int, int],
             workers: int) -> tuple[object, Path, dict[str, bytes], Counter]:
         """Run ``dialogforge ARGS`` with each dialog answered by its plan.
 
-        Returns the click result, the output directory (gone by then), the
+        Returns the invoke result, the output directory (gone by then), the
         files written there and the requests the server saw per dialog.
         """
         seen: Counter = Counter()
@@ -127,8 +126,7 @@ class Harness:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "WIRE_WORKERS", workers)
             out = Path(tmp) / "out"
-            result = self.runner.invoke(main, [*args, "--spec", str(self.spec),
-                                               "--output-dir", str(out)])
+            result = invoke(main, [*args, "--spec", str(self.spec), "--output-dir", str(out)])
             files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
         return result, out, files, seen
 
