@@ -496,6 +496,8 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     try:
         command(**vars(options))
     except (DialogForgeError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout's reader is gone; exit flushes to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _fail(str(exc), _exit_code(exc)) from exc
     except KeyboardInterrupt:
         # dialogs in flight have finished by now: _run_in_order waits for them

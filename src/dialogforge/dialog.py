@@ -14,7 +14,8 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, replace
-from itertools import pairwise
+from itertools import compress, pairwise, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Literal
 
@@ -34,7 +35,7 @@ ACTIONS = ("utter", "instruct", "pick_suggestion")
 Format = Literal["structured", "plain"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Turn:
     """A single utterance: who spoke and what they said.
 
@@ -51,7 +52,7 @@ class Turn:
         object.__setattr__(self, "text", self.text.rstrip("\n"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """Timestamped record of an action in a dialog.
 
@@ -228,7 +229,8 @@ def _loads(text: str, error: Callable[[str], Exception] = ValueError) -> Any:
     """``json.loads(text)``, raising ``error`` on bad JSON or a lone surrogate."""
     try:
         doc = json.loads(text)
-        if "\\ud" in text or "\\uD" in text:  # in UTF-8 text, only such an escape makes one
+        # in UTF-8 text only such an escape makes one; one memchr rules out most texts
+        if "\\" in text and ("\\ud" in text or "\\uD" in text):
             json.dumps(doc, ensure_ascii=False).encode("utf-8")  # UTF-8 cannot encode one
     except UnicodeEncodeError as exc:
         raise error(f"a string holds a lone surrogate, {exc.object[exc.start]!r}") from None
@@ -272,6 +274,9 @@ def deserialize_dialog(text: str, format: Format = "structured") -> Dialog:
     raise ConfigError(f"unknown dialog format {format!r}")
 
 
+_METADATA = {"id": int, "model": str, "seed": int, "scenario": dict, "personas": dict}
+
+
 def _parse_structured(text: str) -> Dialog:
     doc = _loads(text, ParseError)
     if not isinstance(doc, dict):
@@ -280,43 +285,55 @@ def _parse_structured(text: str) -> Dialog:
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {version!r}")
     raw_turns = _require(doc, "turns", list, "dialog")
-    # One pass per list. JSON values are exact str, int and dict (never bool
-    # for int), so an item whose fields all have their exact type is built
-    # straight away; any other item is read field by field, which raises the
-    # typed-field reader's error for its first bad field.
     try:
-        turns = [
-            Turn(t["speaker"], t["text"])
-            if type(t) is dict and type(t.get("speaker")) is str and type(t.get("text")) is str
-            else _read_turn(t, i)
-            for i, t in enumerate(raw_turns)
-        ]
-        raw_events = _optional(doc, "events", list, "dialog")
-        if raw_events is None:
-            events = _synth_utter_events(turns)
+        records = _checked_records(raw_turns, doc.get("events"))
+        if records is None:  # some field breaks a rule: read item by item, which raises its error
+            turns = [_read_turn(t, i) for i, t in enumerate(raw_turns)]
+            raw_events = _optional(doc, "events", list, "dialog")
+            events = (_synth_utter_events(turns) if raw_events is None
+                      else [_read_event(e, i) for i, e in enumerate(raw_events)])
         else:
-            events = [
-                Event(e["agent"], e["action"], e.get("actionLabel"), e["text"], e["timestamp"])
-                if type(e) is dict and type(e.get("agent")) is str
-                and type(e.get("action")) is str and type(e.get("text")) is str
-                and type(e.get("timestamp")) is int
-                and (e.get("actionLabel") is None or type(e["actionLabel"]) is str)
-                else _read_event(e, i)
-                for i, e in enumerate(raw_events)
-            ]
-        dialog = Dialog(
-            id=_optional(doc, "id", int, "dialog"),
-            model=_optional(doc, "model", str, "dialog"),
-            seed=_optional(doc, "seed", int, "dialog"),
-            scenario=_optional(doc, "scenario", dict, "dialog"),
-            personas=_optional(doc, "personas", dict, "dialog"),
-            turns=turns,
-            events=events,
-        )
-        dialog.validate()
+            turns, events = records
+        metadata = {key: _optional(doc, key, kind, "dialog") for key, kind in _METADATA.items()}
+        dialog = Dialog(**metadata, turns=turns, events=events)
+        if records is None:
+            dialog.validate()
     except InvariantViolation as exc:
         raise ParseError(str(exc)) from exc
     return dialog
+
+
+def _records(cls: type, *columns: Iterable) -> list:
+    """Instances of the slotted dataclass ``cls``, each field set from its column
+    without running ``__post_init__``: for values the caller has checked."""
+    records = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for name, column in zip(cls.__slots__, columns):
+        any(map(getattr(cls, name).__set__, records, column))  # each set returns None
+    return records
+
+
+def _checked_records(raw_turns: list, raw_events: Any) -> tuple[list, list] | None:
+    """A document's turns and events, each rule of Turn, Event and Dialog.validate checked
+    once, a column at a time; None if one is broken, and the item-by-item reader says which."""
+    try:  # KeyError: a missing key; TypeError: a value of another JSON type
+        speakers, texts = [list(map(itemgetter(key), raw_turns)) for key in ("speaker", "text")]
+        texts = list(map(str.rstrip, texts, repeat("\n")))
+        agents, actions, labels, says, stamps = columns = [list(map(itemgetter(key), raw_events))
+            for key in ("agent", "action", "actionLabel", "text", "timestamp")]
+        # JSON values have exact types, and JSON true is a bool, not an int
+        if not (type(raw_events) is list and all(map(str.strip, speakers))
+                and set(actions) <= set(ACTIONS) and set(map(type, agents + says)) <= {str}
+                and set(map(type, stamps)) <= {int} and set(map(type, labels)) <= {str, type(None)}
+                and all(compress(labels, map("instruct".__eq__, actions)))
+                and stamps == sorted(stamps)):
+            return None
+        said = [agents, says] if actions.count("utter") == len(actions) else [
+            list(compress(column, map("utter".__eq__, actions))) for column in (agents, says)]
+        if said == [speakers, texts]:
+            return _records(Turn, speakers, texts), _records(Event, *columns)
+    except (KeyError, TypeError):
+        pass
+    return None
 
 
 def _read_turn(t: Any, i: int) -> Turn:
@@ -330,13 +347,9 @@ def _read_event(e: Any, i: int) -> Event:
     if not isinstance(e, dict):
         raise ParseError(f"event {i} must be an object")
     where = f"event {i}"
-    return Event(
-        agent=_require(e, "agent", str, where),
-        action=_require(e, "action", str, where),
-        action_label=_optional(e, "actionLabel", str, where),
-        text=_require(e, "text", str, where),
-        timestamp=_require(e, "timestamp", int, where),
-    )
+    return Event(_require(e, "agent", str, where), _require(e, "action", str, where),
+                 _optional(e, "actionLabel", str, where), _require(e, "text", str, where),
+                 _require(e, "timestamp", int, where))
 
 
 def _parse_plain(text: str) -> Dialog:

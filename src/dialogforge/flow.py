@@ -22,11 +22,10 @@ from __future__ import annotations
 import math
 import numbers
 import random
-import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -43,7 +42,8 @@ EMBED_DIM = 256
 START_NODE = "START"
 END_NODE = "END"
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# a-z and 0-9 stay, every other byte becomes a space; a non-ASCII character's bytes are >= 0x80
+_TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32 for b in range(256))
 
 # FNV-1a, 32-bit
 _FNV_OFFSET = 0x811C9DC5
@@ -147,10 +147,14 @@ def _squared_norms(rows: _Rows) -> np.ndarray:
     return np.bincount(owners, weights=rows.values * rows.values, minlength=len(rows))
 
 
+def _tokens(text: str) -> list[bytes]:
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).split()
+
+
 @lru_cache(maxsize=1 << 16)
-def _bucket(token: str) -> int:
+def _bucket(token: bytes) -> int:
     value = _FNV_OFFSET
-    for byte in token.encode("utf-8"):
+    for byte in token:
         value ^= byte
         value = (value * _FNV_PRIME) & 0xFFFFFFFF
     return value % EMBED_DIM
@@ -171,14 +175,10 @@ def _embed_rows(texts: Sequence[str]) -> _Rows:
     blocks = []
     step = _height(EMBED_DIM)
     for start in range(0, len(texts), step):
-        lengths: list[int] = []
-        buckets: list[int] = []
-        for text in texts[start:start + step]:
-            tokens = _TOKEN_RE.findall(text.lower())
-            lengths.append(len(tokens))
-            buckets.extend(map(_bucket, tokens))
+        tokens = list(map(_tokens, texts[start:start + step]))
+        lengths = list(map(len, tokens))
         keys = np.arange(0, len(lengths) * EMBED_DIM, EMBED_DIM).repeat(lengths)
-        keys += np.array(buckets, dtype=np.intp)
+        keys += np.fromiter(map(_bucket, chain.from_iterable(tokens)), np.intp, len(keys))
         keys, counts = np.unique(keys, return_counts=True)
         rows, columns = np.divmod(keys, EMBED_DIM)
         squares = np.bincount(rows, weights=counts * counts, minlength=len(lengths))
@@ -202,7 +202,7 @@ def embed(text: str) -> np.ndarray:
     # one text's few buckets, counted without numpy's per-call cost; the
     # integer sum of squares, its sqrt and each division round as in
     # _embed_rows, so the bits are the same
-    counts = Counter(map(_bucket, _TOKEN_RE.findall(text.lower())))
+    counts = Counter(map(_bucket, _tokens(text)))
     norm = math.sqrt(max(sum(count * count for count in counts.values()), 1))
     vector = np.zeros(EMBED_DIM)
     for bucket, count in counts.items():

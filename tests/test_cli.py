@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dialogforge.cli as cli
-from dialogforge import read_dialog_file, serialize_dialog
+from dialogforge import Dialog, read_dialog_file, serialize_dialog
 from dialogforge.cli import main
 from dialogforge.seeding import derive_seed
 from helpers import invoke
@@ -731,6 +731,35 @@ def run_cli(*args: str) -> subprocess.CompletedProcess:
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "dialogforge.cli", *args], env=env,
                           capture_output=True, encoding="utf-8", timeout=120)
+
+
+class TestBrokenPipe:
+    def test_reader_that_stops_after_one_line_ends_with_one_error_line(self, tmp_path):
+        # as `dialogforge filter ... | head -1`: stdout is block-buffered (no
+        # PYTHONUNBUFFERED), and the paths fill more than a 64 KB pipe, so the
+        # child is still writing when the pipe closes after its first line
+        text = serialize_dialog(Dialog().append_utterance("A", "hi").append_utterance("B", "yo"))
+        for i in range(300):
+            (tmp_path / f"{'x' * 200}_{i:03}.json").write_text(text, encoding="utf-8")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        with open(tmp_path / "stderr.txt", "w") as stderr:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "dialogforge.cli", "filter", str(tmp_path / "*.json")],
+                env=env, stdout=subprocess.PIPE, stderr=stderr)
+            try:
+                assert child.stdout.readline().endswith(b"_000.json\n")
+                child.stdout.close()
+                child.wait(timeout=60)
+            finally:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait(timeout=10)
+        err = (tmp_path / "stderr.txt").read_text()
+        assert child.returncode == 1, err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: [Errno 32] Broken pipe"], err
+        assert "Exception ignored" not in err and "Traceback" not in err
 
 
 class TestLoneSurrogates:

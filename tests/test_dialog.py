@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
+import pickle
 import random
 import sys
 import threading
@@ -60,6 +63,66 @@ class TestEvent:
     def test_unknown_action_rejected(self):
         with pytest.raises(InvariantViolation):
             Event("Alice", "shout", None, "hi", 0)
+
+
+def records_built_both_ways():
+    """Each Turn and Event of one dialog as its constructor builds it and as
+    the reader builds it, which sets the fields of checked values directly."""
+    d = two_turn_dialog().append_event(Event("Bob", "instruct", "Reflex", "be brief", 11))
+    read = deserialize_dialog(serialize_dialog(d))
+    assert read == d
+    return [*d.turns, *d.events, *read.turns, *read.events]
+
+
+class TestRecordContract:
+    """Turn and Event are frozen, slotted dataclasses however they are built."""
+
+    @pytest.mark.parametrize("record", records_built_both_ways(), ids=repr)
+    def test_fields_cannot_be_assigned_or_added(self, record):
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, "x")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, field.name)
+        # a frozen slotted dataclass refuses a new attribute with TypeError
+        # (CPython 3.10 to 3.13), where a frozen one with a __dict__ raised
+        # FrozenInstanceError, an AttributeError
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = "x"
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("record", records_built_both_ways(), ids=repr)
+    def test_pickle_and_copies_round_trip(self, record):
+        for twin in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+            assert type(twin) is type(record) and twin == record
+            assert hash(twin) == hash(record) and repr(twin) == repr(record)
+
+    @pytest.mark.parametrize("record", records_built_both_ways(), ids=repr)
+    def test_equality_and_hash_follow_the_fields(self, record):
+        same = type(record)(*dataclasses.astuple(record))
+        assert same == record and hash(same) == hash(record) and len({same, record}) == 1
+        changed = dataclasses.replace(record, text=record.text + "!")
+        assert changed != record and changed.text == record.text + "!"
+
+    def test_replace_runs_the_checks(self):
+        turn, event = Turn("Alice", "Hi"), Event("Alice", "utter", None, "Hi", 0)
+        assert dataclasses.replace(turn, text="Hi\n\n") == turn
+        assert dataclasses.replace(event, timestamp=3).timestamp == 3
+        with pytest.raises(EmptySpeaker):
+            dataclasses.replace(turn, speaker=" ")
+        with pytest.raises(InvariantViolation, match="unknown event action"):
+            dataclasses.replace(event, action="shout")
+        with pytest.raises(InvariantViolation, match="require an action label"):
+            dataclasses.replace(event, action="instruct")
+
+    def test_repr_and_constructors_as_before(self):
+        assert repr(Turn("A", "b\n")) == "Turn(speaker='A', text='b')"
+        assert repr(Event("A", "instruct", "L", "t", 2)) == (
+            "Event(agent='A', action='instruct', action_label='L', text='t', timestamp=2)")
+        with pytest.raises(EmptySpeaker, match="non-empty after trimming"):
+            Turn("\t\n")
+        with pytest.raises(InvariantViolation, match="require an action label"):
+            Event("A", "instruct", "", "t", 0)
 
 
 class TestDialogOps:

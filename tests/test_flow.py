@@ -12,6 +12,7 @@ import random
 import re
 import tracemalloc
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -132,6 +133,46 @@ def test_embedding_rows_equal_embed_of_each_text(texts, budget, rng):
         assert row.tobytes() == embed_one_add_per_token(text).tobytes()
 
 
+# the tokenizer and hash of the str reference embedders below
+def tokens_before(text):
+    return re.findall(r"[a-z0-9]+", text.lower())
+
+
+def bucket_before(token):
+    value = 0x811C9DC5
+    for byte in token.encode("utf-8"):
+        value = ((value ^ byte) * 0x01000193) & 0xFFFFFFFF
+    return value % EMBED_DIM
+
+
+def embed_before(text):
+    """embed() as it was before the bytes tokenizer: a regex over str and a Counter."""
+    counts = Counter(map(bucket_before, tokens_before(text)))
+    norm = math.sqrt(max(sum(count * count for count in counts.values()), 1))
+    vector = np.zeros(EMBED_DIM)
+    for bucket, count in counts.items():
+        vector[bucket] = count / norm
+    return vector
+
+
+# the characters that make lowercasing and UTF-8 differ from ASCII: the Kelvin
+# sign lowercases to "k", "İ" to "i" and a combining dot, "ß" stays itself;
+# combining marks, a lone surrogate, and anything else Unicode has
+TOKEN_TEXT = st.text(st.one_of(
+    st.sampled_from(list("aAzZ09 _-.\n") + ["\u212a", "\u0130", "ß", "\u0301", "\u0307"]),
+    st.integers(0xD800, 0xDFFF).map(chr),
+    st.characters()), max_size=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(TOKEN_TEXT)
+@example("\u212aelvin \u0130stanbul STRASSE stra\u00dfe cafe\u0301 \ud800x\udfff9 A1_b2")
+def test_tokens_are_the_runs_of_ascii_letters_and_digits(text):
+    assert [token.decode("ascii") for token in flow._tokens(text)] == tokens_before(text)
+    assert list(map(flow._bucket, flow._tokens(text))) == list(map(bucket_before, tokens_before(text)))
+    assert embed(text).tobytes() == embed_before(text).tobytes()
+
+
 def dense_embed_rows_before(texts):
     """_embed_rows as it was before sparse rows: one dense bincount block of texts at a time."""
     out = np.empty((len(texts), EMBED_DIM))
@@ -139,9 +180,9 @@ def dense_embed_rows_before(texts):
     for start in range(0, len(texts), step):
         lengths, buckets = [], []
         for text in texts[start:start + step]:
-            tokens = flow._TOKEN_RE.findall(text.lower())
+            tokens = tokens_before(text)
             lengths.append(len(tokens))
-            buckets.extend(map(flow._bucket, tokens))
+            buckets.extend(map(bucket_before, tokens))
         offsets = np.arange(0, len(lengths) * EMBED_DIM, EMBED_DIM).repeat(lengths)
         counts = np.bincount(offsets + np.array(buckets, dtype=np.intp),
                              minlength=len(lengths) * EMBED_DIM).reshape(-1, EMBED_DIM)
