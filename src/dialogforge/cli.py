@@ -234,15 +234,18 @@ def _load_run(spec_path: str, output_dir: str | None, seed: int | None,
 
 # dialogs a wire-backend run keeps in flight, each on its own backend and connection;
 # scripted dialogs are pure-Python work under the GIL, and running them one at a time
-# keeps the serial prompt order. A 40-dialog wire batch child spends ~1.4-1.7 ms of
-# user+system CPU per completion, start-up included, so on two cores a run with more
-# workers follows the load beside it more. One busy loop beside such a batch (10 ms
-# server delay, two shared cores, median of 56 paired rounds) cost 1 worker -0.2% of
-# its dialogs per second (7.3 alone), 4 workers 2.8% (24.6), 5 workers 3.9% (29.2)
-# and 6 workers 3.7% (32.9). The 1-point margin over 4 workers that a count must keep
-# is at this method's noise: the 90% intervals of the excess are -0.3..2.7 points at
-# 5 and -1.1..2.6 at 6 (CHANGES.md has the table)
-WIRE_WORKERS = 5
+# keeps the serial prompt order. A wire dialog mostly waits on the server, so the count
+# sets the throughput. 6 new connections at once is as many as Linux holds in the
+# accept queue of a listener with the backlog of 5 that socketserver and http.server
+# use (backlog + 1); it drops the SYNs of more, and the client resends them after
+# ~1 s. 40-dialog batches against a mock with a 10 ms delay and that backlog, two
+# shared cores, 10 alternating pairs a row (CHANGES.md has the runs):
+#   workers  beside         wall s        CPU ms/completion  batches stalled
+#   5 -> 6   one busy loop  1.22 -> 1.09  0.86 -> 0.81       0 of 20
+#   5 -> 6   nothing        1.24 -> 1.10  1.14 -> 1.08       0 of 20
+#   6 -> 8   nothing        1.13 -> 0.91  1.16 -> 1.19       0 of 20; at 8, 2 of 10
+#                                                            in another set (+0.85 s)
+WIRE_WORKERS = 6
 
 
 def _run_one(spec: RunSpec, wire: dict[str, str | None],

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from itertools import compress, pairwise, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -72,6 +73,16 @@ class Event:
             raise InvariantViolation(f"unknown event action {self.action!r}")
         if self.action == "instruct" and not self.action_label:
             raise InvariantViolation("instruct events require an action label")
+
+
+# the __setattr__ and __delattr__ that frozen=True writes name the class that
+# slots=True then replaces, so on a name that is not a field they raise TypeError
+# (CPython 3.10 to 3.13); these raise FrozenInstanceError on any name, as on a field
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+Turn.__setattr__ = Turn.__delattr__ = Event.__setattr__ = Event.__delattr__ = _frozen
 
 
 @dataclass(frozen=True)
@@ -225,12 +236,18 @@ def _optional(mapping: dict, key: str, kinds, where: str, error=ParseError, defa
     raise error(f"{where}: invalid {key!r} field")
 
 
+# in UTF-8 text only such an escape makes a lone surrogate
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD]")
+
+
 def _loads(text: str, error: Callable[[str], Exception] = ValueError) -> Any:
     """``json.loads(text)``, raising ``error`` on bad JSON or a lone surrogate."""
     try:
         doc = json.loads(text)
-        # in UTF-8 text only such an escape makes one; one memchr rules out most texts
-        if "\\" in text and ("\\ud" in text or "\\uD" in text):
+        # one pass: a memchr to the first backslash, which rules out most texts,
+        # and a search for the escape from there
+        start = text.find("\\")
+        if start >= 0 and _SURROGATE_ESCAPE.search(text, start):
             json.dumps(doc, ensure_ascii=False).encode("utf-8")  # UTF-8 cannot encode one
     except UnicodeEncodeError as exc:
         raise error(f"a string holds a lone surrogate, {exc.object[exc.start]!r}") from None

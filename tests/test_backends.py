@@ -136,9 +136,10 @@ class MockServer:
     saying so, as a server closing an idle connection does. Assigning ``behave`` a
     function of the request body replaces the queue, which concurrent
     clients would consume in arrival order. Each request is answered after
-    ``delay`` seconds; ``max_in_flight`` is the most requests the server
-    was handling at once. Each entry of ``requests`` records the request's
-    path, body and client port, which names its connection.
+    ``delay`` seconds. ``max_in_flight`` is the most requests the server
+    held at once, from arrival until its answer is chosen, so a client
+    with one request open counts once. Each entry of ``requests`` records
+    the request's path, body and client port, which names its connection.
     """
 
     def __init__(self, delay: float = 0.0):
@@ -166,10 +167,11 @@ class MockServer:
                     outer.max_in_flight = max(outer.max_in_flight, outer._in_flight)
                 try:
                     time.sleep(outer.delay)
-                    self.answer(outer.behave(body))
+                    behavior = outer.behave(body)
                 finally:
                     with outer._lock:
                         outer._in_flight -= 1
+                self.answer(behavior)
 
             def answer(self, behavior):
                 if behavior[0] == "drop":

@@ -592,20 +592,23 @@ class TestConcurrentWireRuns:
     def test_batch_matches_serial_run(self, runner, wire_server, wire_spec, tmp_path,
                                       monkeypatch):
         out = tmp_path / "out"
+        pooled = cli.WIRE_WORKERS
+        count = 2 * pooled
         runs = []
-        for workers in (cli.WIRE_WORKERS, 1):
+        # the pooled run's requests wait long enough for every worker's to overlap
+        for workers, delay in ((pooled, 0.05), (1, 0.01)):
             monkeypatch.setattr(cli, "WIRE_WORKERS", workers)
-            wire_server.max_in_flight = 0
-            result = runner.invoke(main, ["batch", "--spec", str(wire_spec), "-n", "6"])
+            wire_server.delay, wire_server.max_in_flight = delay, 0
+            result = runner.invoke(main, ["batch", "--spec", str(wire_spec), "-n", str(count)])
             assert result.exit_code == 0, result.output
             runs.append(({p.name: p.read_bytes() for p in out.iterdir()}, result.stderr,
                          wire_server.max_in_flight))
             shutil.rmtree(out)
         (files, stderr, in_flight), (serial_files, serial_stderr, _) = runs
-        assert len(files) == 6
+        assert len(files) == count
         assert files == serial_files
         assert stderr == serial_stderr
-        assert in_flight > 1
+        assert in_flight == pooled
 
     def test_batch_failure_leaves_files_below_lowest_failing_index(
             self, runner, wire_server, wire_spec, tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from dialogforge.dialog import (
     Dialog,
     Event,
     Turn,
+    _loads,
     _optional,
     _require,
     _synth_utter_events,
@@ -309,3 +310,21 @@ def test_reader_matches_the_reader_before_records_were_checked_by_column(doc, as
 ])
 def test_small_documents_match_the_reader_before(text):
     assert outcome(deserialize_dialog, text) == outcome(reader_before.deserialize_dialog, text)
+
+
+# pieces of JSON string bodies around backslashes: escapes of either case, lone
+# and paired surrogates escaped or raw, an escaped backslash before "ud800",
+# and escapes JSON does not allow
+ESCAPE_PIECES = ["\\n", '\\"', "\\\\", "\\u", "\\ud800", "\\uDFFF", "\\udBfF", "\\uD83D\\uDE00",
+                 "\\uD7FF", "\\u00e9", "\\\\ud800", "\\x", "\ud800", "\udfff", "\U0001f600", "é",
+                 "d", "D", "u", "a", '"', "\n"]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(ESCAPE_PIECES), st.text(max_size=3)), max_size=12),
+       st.sampled_from(["as JSON", "in a string", "bare"]), st.booleans())
+def test_loads_matches_the_loader_before_on_escapes(pieces, how, ascii_only):
+    body = "".join(pieces)
+    text = {"as JSON": json.dumps({"text": body}, ensure_ascii=ascii_only),
+            "in a string": f'{{"text": "{body}"}}', "bare": body}[how]
+    assert outcome(_loads, text) == outcome(reader_before._loads, text)

@@ -8,9 +8,9 @@ without saying so, as it would an idle one).
 A small model of the contract says, from the drawn behaviours alone, which
 files a run writes, which ``wrote``/``error`` lines it prints in which order,
 its exit code and how many requests the server sees per dialog. Every run is
-checked against that model at 1, 2, 4 and 8 workers and at the shipped
-``cli.WIRE_WORKERS``, and every file it writes against a serial run with no
-failure.
+checked against that model at 1, 2, 4, 5, 6, 8 and 12 workers and at the
+shipped ``cli.WIRE_WORKERS``, and every file it writes against a serial run
+with no failure.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ FAILURES = {
 plans = st.lists(st.sampled_from(["ok", "ok", "ok", "status", "raw", "drop", "drop", "stale"]),
                  max_size=8)
 EXAMPLES = settings(max_examples=12, deadline=None)
-WORKERS = pytest.mark.parametrize("workers", sorted({1, 2, 4, cli.WIRE_WORKERS, 8}))
+WORKERS = pytest.mark.parametrize("workers", sorted({1, 2, 4, 5, 6, cli.WIRE_WORKERS, 8, 12}))
 
 
 def model(plan: list[str], turns: int) -> tuple[int, str | None]:
