@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from .backends import Backend, Message, SamplingParams
 from .dialog import Dialog, Event, Turn, _optional, _require, _utter
-from .errors import ConfigError, DuplicateAgentName, InvariantViolation
+from .errors import ConfigError, DuplicateAgentName, EmptyCompletion, InvariantViolation
 from .seeding import derive_seed, entropy_seed
 
 if TYPE_CHECKING:
@@ -96,12 +96,12 @@ def persona_prompt(persona: Persona, extra_instructions: str | None = None) -> s
     return "\n".join(lines)
 
 
-def _split_end_marker(utterance: str) -> tuple[bool, str]:
-    # "ends with (or equals) the marker" terminates; marker mid-text does not.
-    stripped = utterance.rstrip()
+def _split_end_marker(reply: str) -> tuple[bool, str]:
+    # (ended, text its turn stores) of a raw reply, by the rule in the Agent docstring
+    stripped = reply.rstrip()
     if stripped.endswith(END_MARKER):
         return True, stripped[: -len(END_MARKER)].rstrip()
-    return False, utterance
+    return False, reply.rstrip("\n")
 
 
 class Agent:
@@ -112,9 +112,11 @@ class Agent:
     Orchestrators are queried in attachment order before every generated
     utterance; attach them with the ``|`` operator. A fixed
     ``first_utterance`` is the first move, whether the agent opens or
-    answers (no backend call, no orchestration for that move); it must not
-    be empty, as memory keeps it as an assistant message. The RNG is
-    seeded by ``reset``; a new agent starts from fresh entropy.
+    answers (no backend call, no orchestration for that move). A turn stores
+    the reply without trailing newlines, or the trimmed text before a closing
+    end marker, which ends the dialog; a ``first_utterance`` that would store
+    no text without ending it is a ``ConfigError``. The RNG is seeded by
+    ``reset``; a new agent starts from fresh entropy.
     """
 
     def __init__(
@@ -124,18 +126,14 @@ class Agent:
         first_utterance: str | None = None,
         extra_instructions: str | None = None,
     ):
-        if first_utterance == "":
-            raise ConfigError(f"persona {persona.name!r} has an empty first utterance")
+        if first_utterance is not None and _split_end_marker(first_utterance) == (False, ""):
+            raise ConfigError(f"persona {persona.name!r} has a first utterance with no text")
         self.backend = backend
         self.persona = persona
         self.first_utterance = first_utterance
         self.orchestrators: list[Orchestrator] = []
         self._system_prompt = persona_prompt(persona, extra_instructions)
-        self.seed: int = 0
-        self.rng: random.Random = random.Random()
-        self.memory: list[Message] = []
-        self.turns: int = 0
-        self.reset()
+        self.reset()  # sets seed, rng, memory and turns
 
     @property
     def name(self) -> str:
@@ -206,11 +204,10 @@ class Agent:
         Both agents are reset before the run and reseeded deterministically
         from the dialog seed and their position, so the whole run is a pure
         function of (backends, personas, orchestrator configs, seed). Each
-        move is the speaker's ``respond``. The dialog ends when an utterance
-        ends with the end marker (stripped from the stored turn) or after
-        ``max_turns`` turns. An event's timestamp is its position in the
-        dialog's event list, keeping serialized output byte-stable across
-        reruns.
+        move is the speaker's ``respond``. The dialog ends on the end marker or
+        after ``max_turns`` turns; a reply that neither stores text nor ends it
+        raises ``EmptyCompletion``. An event's timestamp is its position in the
+        event list, keeping serialized output byte-stable across reruns.
         """
         if max_turns <= 0:
             raise ConfigError("max_turns must be positive")
@@ -231,11 +228,14 @@ class Agent:
         incoming: str | None = None
         for _ in range(max_turns):
             ended, text = _split_end_marker(speaker.respond(incoming, turns, events))
+            if not (ended or text):
+                raise EmptyCompletion(f"reply with no text from backend {speaker.backend.model!r}"
+                                      f" to {speaker.name!r}")
             turns.append(Turn(speaker.name, text))
             events.append(_utter(turns[-1], len(events)))
             if ended:
                 break
-            incoming = turns[-1].text  # as stored: without trailing newlines
+            incoming = text
             speaker, listener = listener, speaker
         return Dialog(
             id=id,

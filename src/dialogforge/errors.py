@@ -44,7 +44,7 @@ class BackendExhausted(BackendError):
 
 
 class EmptyCompletion(BackendError):
-    """The backend returned an empty completion."""
+    """The backend returned an empty completion, or one that stores no text."""
 
 
 class WireError(BackendError):

@@ -8,6 +8,7 @@ from dialogforge import (
     Agent,
     ConfigError,
     DuplicateAgentName,
+    EmptyCompletion,
     InvariantViolation,
     Persona,
     ScriptedBackend,
@@ -83,8 +84,14 @@ class TestAgent:
         assert [a.rng.random() for _ in range(5)] == [b.rng.random() for _ in range(5)]
 
     def test_empty_first_utterance_rejected(self):
-        with pytest.raises(ConfigError, match="persona 'Alice' has an empty first utterance"):
-            Agent(ScriptedBackend(["x"]), ALICE, first_utterance="")
+        for first in ("", "\n", "\n\n"):
+            with pytest.raises(ConfigError,
+                               match="persona 'Alice' has a first utterance with no text"):
+                Agent(ScriptedBackend(["x"]), ALICE, first_utterance=first)
+
+    @pytest.mark.parametrize("first", [" ", "\r\n", "[END]", "\n[END]"])
+    def test_first_utterance_that_stores_text_or_ends_accepted(self, first):
+        assert Agent(ScriptedBackend(["x"]), ALICE, first_utterance=first).first_utterance == first
 
     def test_respond_passthrough_without_orchestrators(self):
         agent = Agent(ScriptedBackend(["Sure!"]), ALICE)
@@ -283,6 +290,28 @@ class TestDialogWith:
         b = Agent(Recording(["Bye! [END]"]), BOB)
         assert a.dialog_with(b).turns[0].text == "hi"
         assert b.backend.sent == ["hi"]
+
+    @pytest.mark.parametrize("blank", ["\n", "\n\n"])
+    def test_reply_with_no_text_fails_before_the_partner_hears_it(self, blank):
+        a = Agent(ScriptedBackend(["Hi", blank]), ALICE)
+        b = Agent(ScriptedBackend(["ok"], cycle=True), BOB)
+        with pytest.raises(EmptyCompletion,
+                           match="reply with no text from backend 'scripted' to 'Alice'"):
+            a.dialog_with(b, max_turns=6)
+        assert b.turns == 1
+        assert [m.content for m in b.memory if m.role == "user"] == ["Hi"]
+
+    @pytest.mark.parametrize("reply", ["[END]", "\n[END]\n", " [END] "])
+    def test_marker_alone_ends_with_an_empty_turn(self, reply):
+        a = Agent(ScriptedBackend(["Hi"]), ALICE)
+        b = Agent(ScriptedBackend([reply]), BOB)
+        assert [turn.text for turn in a.dialog_with(b).turns] == ["Hi", ""]
+
+    def test_first_utterance_of_marker_alone_is_a_one_turn_dialog(self):
+        a = Agent(ScriptedBackend(["never spoken"]), ALICE, first_utterance="[END]")
+        b = Agent(ScriptedBackend(["never spoken"]), BOB)
+        assert [turn.text for turn in a.dialog_with(b).turns] == [""]
+        assert b.turns == 0
 
     def test_marker_mid_text_does_not_terminate(self):
         a = Agent(ScriptedBackend(["the [END] marker mid-sentence", "bye [END]"]), ALICE)

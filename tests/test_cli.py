@@ -243,12 +243,29 @@ class TestBatch:
         assert not (tmp_path / "out").exists()
 
     def test_empty_first_utterance_names_persona_exits_1(self, runner, tmp_path):
+        for first in ("", "\n"):
+            spec = write_spec(tmp_path / "spec.json", personas={
+                "Alice": {"role": "barista"}, "Bob": {"firstUtterance": first}})
+            result = runner.invoke(main, ["batch", "--spec", str(spec), "-n", "2"])
+            assert result.exit_code == 1
+            assert result.output == (
+                "error: dialog 0 failed: persona 'Bob' has a first utterance with no text\n")
+            assert not (tmp_path / "out").exists()
+
+    def test_first_utterance_of_the_marker_alone_writes_one_turn(self, runner, tmp_path):
         spec = write_spec(tmp_path / "spec.json", personas={
-            "Alice": {"role": "barista"}, "Bob": {"firstUtterance": ""}})
+            "Alice": {"role": "barista", "firstUtterance": "[END]"}, "Bob": {}})
+        result = runner.invoke(main, ["batch", "--spec", str(spec), "-n", "1"])
+        assert result.exit_code == 0, result.output
+        dialog = read_dialog_file(tmp_path / "out" / "dialog_000.json")
+        assert [(turn.speaker, turn.text) for turn in dialog.turns] == [("Alice", "")]
+
+    def test_reply_with_no_text_exits_2(self, runner, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", backend={"scripted": ["Hi", "\n", "ok"]})
         result = runner.invoke(main, ["batch", "--spec", str(spec), "-n", "2"])
-        assert result.exit_code == 1
+        assert result.exit_code == 2
         assert result.output == (
-            "error: dialog 0 failed: persona 'Bob' has an empty first utterance\n")
+            "error: dialog 0 failed: reply with no text from backend 'scripted' to 'Bob'\n")
         assert not (tmp_path / "out").exists()
 
     def test_zero_count_rejected(self, runner, spec_path):

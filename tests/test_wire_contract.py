@@ -2,7 +2,8 @@
 
 Each request the mock server sees answers with a drawn behaviour: ``ok`` (a
 reply that is a function of the request), ``status`` (HTTP 500), ``raw`` (a
-malformed 200 body), ``drop`` (the connection closes with no response) or
+malformed 200 body), ``blank`` (a 200 reply whose content is ``"\n"``, which
+stores no text), ``drop`` (the connection closes with no response) or
 ``stale`` (an ``ok`` reply, after which the server closes the connection
 without saying so, as it would an idle one).
 A small model of the contract says, from the drawn behaviours alone, which
@@ -40,17 +41,19 @@ MISSING_ID = 999  # no such scenario: an input failure, exit code 1
 RESPONSES = {
     "status": ("status", 500),
     "raw": ("raw", b"<html>not json</html>"),
+    "blank": ("ok", "\n"),
     "drop": ("drop",),
 }
-# the WireError message each failing behaviour ends a dialog with
+# the error message each failing behaviour ends a dialog with
 FAILURES = {
     "status": "HTTP 500 from backend",
     "raw": "malformed completion response",
+    "blank": "reply with no text from backend 'm'",
     "drop": "transport failure talking to",
 }
 # a dialog's behaviours, one per request it sends; past the list every request is ok
-plans = st.lists(st.sampled_from(["ok", "ok", "ok", "status", "raw", "drop", "drop", "stale"]),
-                 max_size=8)
+plans = st.lists(st.sampled_from(["ok", "ok", "ok", "status", "raw", "blank", "drop", "drop",
+                                  "stale"]), max_size=8)
 EXAMPLES = settings(max_examples=12, deadline=None)
 WORKERS = pytest.mark.parametrize("workers", sorted({1, 2, 4, 5, 6, cli.WIRE_WORKERS, 8, 12}))
 
@@ -58,10 +61,10 @@ WORKERS = pytest.mark.parametrize("workers", sorted({1, 2, 4, 5, 6, cli.WIRE_WOR
 def model(plan: list[str], turns: int) -> tuple[int, str | None]:
     """(requests sent, failure message or None) of a dialog of ``turns`` turns.
 
-    Each turn is one request; a drop is retried exactly once, and a status
-    or a malformed body is not retried. After a stale reply, the dialog's
-    next attempt fails without reaching the server, and that failure is the
-    one retry.
+    Each turn is one request; a drop is retried exactly once, and a status,
+    a malformed body or a blank reply is not retried. After a stale reply,
+    the dialog's next attempt fails without reaching the server, and that
+    failure is the one retry.
     """
     behaviours = iter(plan)
     sent = 0
@@ -89,6 +92,8 @@ def test_model():
     assert model(["ok", "drop", "drop"], 3) == (3, FAILURES["drop"])
     assert model(["status"], 3) == (1, FAILURES["status"])
     assert model(["drop", "raw"], 3) == (2, FAILURES["raw"])
+    assert model(["ok", "blank"], 3) == (2, FAILURES["blank"])
+    assert model(["drop", "blank"], 3) == (2, FAILURES["blank"])
     assert model(["stale", "ok", "stale"], 3) == (3, None)
     assert model(["stale", "drop"], 3) == (2, FAILURES["drop"])
     assert model(["ok", "stale"], 2) == (2, None)  # no request goes out after the last turn
