@@ -3,8 +3,8 @@
 All types here are immutable values; every operation that "modifies" a
 Dialog returns a new one. The structured (JSON) format is lossless and
 canonical; the plain text format ("Speaker: text" per line) is lossy by
-design: it drops events, scenario metadata, and ids, and flattens any
-newlines inside an utterance to single spaces.
+design: it drops events, scenario metadata, and ids, and turns each
+carriage return and newline inside an utterance into a space.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ Format = Literal["structured", "plain"]
 
 @dataclass(frozen=True, slots=True)
 class Turn:
-    """A single utterance: who spoke and what they said.
+    """A single utterance: who spoke and what they said, the text kept as given.
 
-    The text is kept verbatim except that trailing newlines are stripped;
-    the speaker must be non-empty after whitespace trimming.
+    The speaker must be non-empty after whitespace trimming.
     """
 
     speaker: str
@@ -50,7 +49,6 @@ class Turn:
     def __post_init__(self):
         if not self.speaker.strip():
             raise EmptySpeaker("turn speaker must be non-empty after trimming")
-        object.__setattr__(self, "text", self.text.rstrip("\n"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,9 +185,9 @@ def serialize_dialog(dialog: Dialog, format: Format = "structured") -> str:
 
     "structured" is the canonical lossless JSON document; the dialog is
     validated first, so what is written can be read back. "plain" is one
-    "Speaker: text" line per turn; it drops events and metadata, flattens
-    newlines inside utterances, and rejects speakers that the format
-    cannot represent unambiguously.
+    "Speaker: text" line per turn; it drops events and metadata, turns each
+    "\\r" and "\\n" inside an utterance into a space, and rejects speakers
+    that the format cannot represent unambiguously.
     """
     if format == "structured":
         dialog.validate()
@@ -198,10 +196,10 @@ def serialize_dialog(dialog: Dialog, format: Format = "structured") -> str:
         lines = []
         for turn in dialog.turns:
             if ": " in turn.speaker or "\n" in turn.speaker:
-                raise UnserializableSpeaker(
-                    f"speaker {turn.speaker!r} cannot appear in plain format"
-                )
-            lines.append(f"{turn.speaker}: {turn.text.replace(chr(10), ' ')}\n")
+                raise UnserializableSpeaker(f"speaker {turn.speaker!r} cannot appear in"
+                                            " plain format")
+            text = turn.text.replace("\r", " ").replace("\n", " ")
+            lines.append(f"{turn.speaker}: {text}\n")
         return "".join(lines)
     raise ConfigError(f"unknown dialog format {format!r}")
 
@@ -334,7 +332,6 @@ def _checked_records(raw_turns: list, raw_events: Any) -> tuple[list, list] | No
     once, a column at a time; None if one is broken, and the item-by-item reader says which."""
     try:  # KeyError: a missing key; TypeError: a value of another JSON type
         speakers, texts = [list(map(itemgetter(key), raw_turns)) for key in ("speaker", "text")]
-        texts = list(map(str.rstrip, texts, repeat("\n")))
         agents, actions, labels, says, stamps = columns = [list(map(itemgetter(key), raw_events))
             for key in ("agent", "action", "actionLabel", "text", "timestamp")]
         # JSON values have exact types, and JSON true is a bool, not an int
@@ -481,11 +478,12 @@ def write_dialog_file(dialog: Dialog, path: str | Path) -> Path:
 def read_dialog_file(path: str | Path) -> Dialog:
     """Load a dialog from disk, picking the format from the file extension.
 
-    Content that is not UTF-8 raises ParseError; OSError passes through.
+    The bytes are decoded with no newline translation: the plain reader alone
+    splits lines. Content that is not UTF-8 raises ParseError; OSError passes through.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read dialog {path}: {exc}") from exc
     return deserialize_dialog(text, _format_for(path))

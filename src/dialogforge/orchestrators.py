@@ -219,9 +219,11 @@ class InstructionListOrchestrator(Orchestrator):
 
     def __init__(self, plan: Mapping[int, str], persist: bool = False):
         super().__init__(persist=persist)
-        for index in plan:
+        for index, text in plan.items():
             if index < 0:
                 raise ConfigError(f"plan indices must be non-negative, got {index}")
+            if not text:
+                raise ConfigError(f"plan instruction {index} must be non-empty")
         self.plan = dict(plan)
 
     def instruct(self, dialog: Sequence[Turn], utterance: str | None):

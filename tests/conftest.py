@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from dialogforge import Dialog, Event
+from dialogforge import Dialog, Event, Turn
 from helpers import invoke
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -31,29 +31,24 @@ def random_dialog(rng: random.Random, plain_safe: bool = True) -> Dialog:
     """
     speakers = rng.sample(["Alice", "Bob", "Carol", "Dave", "Support agent"], k=2)
     words = ["hello", "refund", "coffee", "sure", "précisément", "ok?", "no.", "…"]
-    dialog = Dialog(
+    metadata = dict(
         id=rng.choice([None, rng.randrange(1000)]),
         model=rng.choice([None, "scripted", "test-model"]),
         seed=rng.choice([None, rng.randrange(2**31)]),
         scenario=rng.choice([None, {"topic": "coffee order", "location": "cafe"}]),
         personas=rng.choice([None, {"Alice": {"name": "Alice", "role": "barista"}}]),
     )
+    turns, events = [], []
     ts = 0
     for i in range(rng.randrange(0, 8)):
         text = " ".join(rng.choice(words) for _ in range(rng.randrange(0, 5)))
         if not plain_safe and rng.random() < 0.3:
             text += "\nsecond line"
         if rng.random() < 0.25:
-            dialog = dialog.append_event(
-                Event(
-                    agent=speakers[i % 2],
-                    action="instruct",
-                    action_label="TestOrchestrator",
-                    text="do something specific",
-                    timestamp=ts,
-                )
-            )
+            events.append(Event(speakers[i % 2], "instruct", "TestOrchestrator",
+                                "do something specific", ts))
             ts += 1
-        dialog = dialog.append_utterance(speakers[i % 2], text, ts)
+        turns.append(Turn(speakers[i % 2], text))
+        events.append(Event(speakers[i % 2], "utter", None, text, ts))
         ts += rng.randrange(0, 3)
-    return dialog
+    return Dialog(**metadata, turns=turns, events=events)

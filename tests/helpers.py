@@ -15,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from typing import Callable
 
-from dialogforge import Backend, Dialog, Message, SamplingParams
+from dialogforge import Backend, Dialog, Event, Message, SamplingParams, Turn
 from dialogforge.orchestrators import MESSAGES
 
 FINISH_TEXT = MESSAGES["finish"]
@@ -84,6 +84,14 @@ def invoke(main: Callable[..., None], args: list[str]) -> Result:
     return Result(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
 
 
+def dialog_from(*turns: tuple[str, str], **metadata) -> Dialog:
+    """A dialog of ``(speaker, text)`` turns, each paired with its utter event,
+    which is stamped with its position; ``metadata`` sets the other fields."""
+    records = [Turn(speaker, text) for speaker, text in turns]
+    events = [Event(t.speaker, "utter", None, t.text, i) for i, t in enumerate(records)]
+    return Dialog(**metadata, turns=records, events=events)
+
+
 def respond(agent, incoming: str | None = "hi") -> tuple[str, list]:
     """One move of ``agent`` with no turns so far: its reply and the
     instruct events the move appended."""
@@ -144,16 +152,16 @@ def build_action_corpus(n_dialogs: int = 10, seed: int = 42) -> list[Dialog]:
     rng = random.Random(seed)
     dialogs = []
     for i in range(n_dialogs):
-        dialog = Dialog(id=i)
         length = rng.choice([4, 6])
+        turns = []
         for turn in range(length):
             if turn % 2 == 0:
                 phrase = AGENT_PHRASES[turn // 2 % 3] if turn < 2 else rng.choice(AGENT_PHRASES)
-                dialog = dialog.append_utterance("Agent", phrase, turn)
+                turns.append(("Agent", phrase))
             else:
                 phrase = CLIENT_PHRASES[turn // 2 % 3] if turn < 2 else rng.choice(CLIENT_PHRASES)
-                dialog = dialog.append_utterance("Client", phrase, turn)
-        dialogs.append(dialog)
+                turns.append(("Client", phrase))
+        dialogs.append(dialog_from(*turns, id=i))
     return dialogs
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from dialogforge import (
     Agent,
+    Backend,
     ConfigError,
     DuplicateAgentName,
     EmptyCompletion,
@@ -186,6 +187,20 @@ class TestDialogWith:
             a.dialog_with(b, id=-1, max_turns=30)
         assert Counting.calls == 0
         assert a.dialog_with(b, id=0, max_turns=30).id == 0
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"max_turns": 0}, ConfigError, "max_turns must be positive"),
+        ({"max_turns": -1}, ConfigError, "max_turns must be positive"),
+        ({"id": -1}, InvariantViolation, "dialog id must be non-negative"),
+    ], ids=["cap-0", "cap-negative", "id-negative"])
+    def test_bad_cap_or_id_rejected_before_any_backend_call(self, kwargs, error, message):
+        class Refusing(Backend):
+            def _complete(self, messages, params):
+                raise AssertionError("the backend was called")
+
+        a, b = Agent(Refusing(), ALICE), Agent(Refusing(), BOB)
+        with pytest.raises(error, match=message):
+            a.dialog_with(b, **kwargs)
 
     def test_duplicate_names_rejected(self):
         a = Agent(ScriptedBackend(["x"]), ALICE)

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dialogforge.cli as cli
-from dialogforge import Dialog, read_dialog_file, serialize_dialog
+from dialogforge import read_dialog_file, serialize_dialog
 from dialogforge.cli import main
 from dialogforge.seeding import derive_seed
-from helpers import invoke
+from helpers import dialog_from, invoke
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -184,6 +184,21 @@ class TestGenerate:
 
 
 class TestBatch:
+    @pytest.mark.parametrize("plan", [{"0": ""}, {"0": "Be brief.", "2": ""}])
+    def test_empty_plan_instruction_exits_1_before_any_completion(self, runner, wire_server,
+                                                                  tmp_path, plan):
+        spec = write_spec(tmp_path / "spec.json", maxTurns=6,
+                          backend={"baseUrl": wire_server.url, "model": "m"},
+                          orchestrators=[{"agent": "Alice", "type": "instruction_list",
+                                          "params": {"plan": plan}}])
+        result = runner.invoke(main, ["batch", "--spec", str(spec), "-n", "2"])
+        assert result.exit_code == 1
+        index = max(plan, key=int)
+        assert result.stderr == (
+            f"error: dialog 0 failed: plan instruction {index} must be non-empty\n")
+        assert wire_server.requests == []
+        assert not (tmp_path / "out").exists()
+
     def test_five_files_with_sequential_ids_and_seeds(self, runner, spec_path, tmp_path):
         result = runner.invoke(main, ["batch", "--spec", str(spec_path), "-n", "5"])
         assert result.exit_code == 0, result.output
@@ -758,7 +773,7 @@ class TestBrokenPipe:
         # as `dialogforge filter ... | head -1`: stdout is block-buffered (no
         # PYTHONUNBUFFERED), and the paths fill more than a 64 KB pipe, so the
         # child is still writing when the pipe closes after its first line
-        text = serialize_dialog(Dialog().append_utterance("A", "hi").append_utterance("B", "yo"))
+        text = serialize_dialog(dialog_from(("A", "hi"), ("B", "yo")))
         for i in range(300):
             (tmp_path / f"{'x' * 200}_{i:03}.json").write_text(text, encoding="utf-8")
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}

@@ -8,10 +8,12 @@ import json
 import pickle
 import random
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dialogforge import (
     BadTurnLine,
@@ -31,18 +33,19 @@ from dialogforge import (
 )
 from dialogforge.dialog import write_text_atomic
 from conftest import random_dialog
+from helpers import dialog_from
 
 
 def two_turn_dialog() -> Dialog:
-    d = Dialog()
-    d = d.append_utterance("Alice", "Hi!", 10)
-    return d.append_utterance("Bob", "Hello, Alice!", 11)
+    return Dialog(turns=[Turn("Alice", "Hi!"), Turn("Bob", "Hello, Alice!")],
+                  events=[Event("Alice", "utter", None, "Hi!", 10),
+                          Event("Bob", "utter", None, "Hello, Alice!", 11)])
 
 
 class TestTurn:
-    def test_trailing_newline_stripped(self):
-        assert Turn("Alice", "Hi!\n").text == "Hi!"
-        assert Turn("Alice", "Hi!\n\n").text == "Hi!"
+    def test_text_kept_as_given(self):
+        for text in ("Hi!\n", "Hi!\n\n", "Hi!\r", "Hi!\r\n", " Hi! ", "\n"):
+            assert Turn("Alice", text).text == text
 
     def test_inner_newline_kept_verbatim(self):
         assert Turn("Alice", "Hi!\nthere").text == "Hi!\nthere"
@@ -68,7 +71,9 @@ class TestEvent:
 def records_built_both_ways():
     """Each Turn and Event of one dialog as its constructor builds it and as
     the reader builds it, which sets the fields of checked values directly."""
-    d = two_turn_dialog().append_event(Event("Bob", "instruct", "Reflex", "be brief", 11))
+    d = two_turn_dialog()
+    instruct = Event("Bob", "instruct", "Reflex", "be brief", 11)
+    d = Dialog(turns=d.turns, events=[*d.events, instruct])
     read = deserialize_dialog(serialize_dialog(d))
     assert read == d
     return [*d.turns, *d.events, *read.turns, *read.events]
@@ -106,7 +111,7 @@ class TestRecordContract:
 
     def test_replace_runs_the_checks(self):
         turn, event = Turn("Alice", "Hi"), Event("Alice", "utter", None, "Hi", 0)
-        assert dataclasses.replace(turn, text="Hi\n\n") == turn
+        assert dataclasses.replace(turn, text="Hi\n\n").text == "Hi\n\n"
         assert dataclasses.replace(event, timestamp=3).timestamp == 3
         with pytest.raises(EmptySpeaker):
             dataclasses.replace(turn, speaker=" ")
@@ -116,7 +121,7 @@ class TestRecordContract:
             dataclasses.replace(event, action="instruct")
 
     def test_repr_and_constructors_as_before(self):
-        assert repr(Turn("A", "b\n")) == "Turn(speaker='A', text='b')"
+        assert repr(Turn("A", "b\n")) == "Turn(speaker='A', text='b\\n')"
         assert repr(Event("A", "instruct", "L", "t", 2)) == (
             "Event(agent='A', action='instruct', action_label='L', text='t', timestamp=2)")
         with pytest.raises(EmptySpeaker, match="non-empty after trimming"):
@@ -133,9 +138,7 @@ class TestDialogOps:
         assert len(Dialog()) == 0
 
     def test_six_turn_dialog_passes_min_filter(self):
-        d = Dialog()
-        for i in range(6):
-            d = d.append_utterance("AB"[i % 2], f"turn {i}", i)
+        d = dialog_from(*(("AB"[i % 2], f"turn {i}") for i in range(6)))
         assert len(d) == 6
         assert len(d) >= 6
 
@@ -190,7 +193,7 @@ class TestSerialization:
         ]
 
     def test_speaker_with_separator_rejected_in_plain(self):
-        d = Dialog().append_utterance("X: Y", "hi", 0)
+        d = dialog_from(("X: Y", "hi"))
         with pytest.raises(UnserializableSpeaker):
             serialize_dialog(d, "plain")
         # structured has no such restriction
@@ -198,8 +201,8 @@ class TestSerialization:
         assert round_tripped.turns[0].speaker == "X: Y"
 
     def test_plain_flattens_inner_newlines(self):
-        d = Dialog().append_utterance("A", "two\nlines", 0)
-        assert serialize_dialog(d, "plain") == "A: two lines\n"
+        d = dialog_from(("A", "two\nlines"), ("B", "a\rb"), ("A", "c\r\nd\n"), ("B\r", "ok\r"))
+        assert serialize_dialog(d, "plain") == "A: two lines\nB: a b\nA: c  d \nB\r: ok \n"
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigError):
@@ -254,7 +257,9 @@ class TestDeserialization:
                                        doc["events"][1]]},
         lambda doc: {**doc, "events": [doc["events"][0],
                                        {**doc["events"][1], "text": "Goodbye"}]},
-    ], ids=["top-level-array", "decreasing-timestamps", "utter-text-differs"])
+        lambda doc: {**doc, "turns": [{**doc["turns"][0], "text": "Hi!\n"}, doc["turns"][1]]},
+    ], ids=["top-level-array", "decreasing-timestamps", "utter-text-differs",
+            "turn-text-adds-a-newline"])
     def test_inconsistent_document_rejected(self, corrupt):
         doc = json.loads(serialize_dialog(two_turn_dialog(), "structured"))
         with pytest.raises(ParseError):
@@ -279,6 +284,15 @@ class TestDeserialization:
             d = deserialize_dialog(text)
             assert d.turns[0].text == "\U0001F600"
             assert deserialize_dialog(serialize_dialog(d)) == d
+
+    def test_turn_keeps_a_trailing_newline_its_utter_event_holds(self):
+        doc = json.loads(serialize_dialog(two_turn_dialog(), "structured"))
+        doc["turns"][0]["text"] = doc["events"][0]["text"] = "hi\n"
+        d = deserialize_dialog(json.dumps(doc), "structured")
+        assert d.turns[0].text == d.events[0].text == "hi\n"
+        assert deserialize_dialog(serialize_dialog(d)) == d
+        del doc["events"]  # synthesized events copy the turn's text
+        assert deserialize_dialog(json.dumps(doc)).events[0].text == "hi\n"
 
     def test_missing_events_synthesized(self):
         doc = json.loads(serialize_dialog(two_turn_dialog(), "structured"))
@@ -305,16 +319,18 @@ text_st = st.text(
 def dialogs(draw):
     n = draw(st.integers(0, 6))
     speakers = draw(st.lists(speaker_st, min_size=2, max_size=2, unique=True))
-    d = Dialog(
+    metadata = dict(
         id=draw(st.none() | st.integers(0, 10**6)),
         seed=draw(st.none() | st.integers(0, 2**31)),
         model=draw(st.none() | st.just("m")),
     )
+    turns, events = [], []
     ts = 0
     for i in range(n):
-        d = d.append_utterance(speakers[i % 2], draw(text_st), ts)
+        turns.append(Turn(speakers[i % 2], draw(text_st)))
+        events.append(Event(speakers[i % 2], "utter", None, turns[-1].text, ts))
         ts += draw(st.integers(0, 2))
-    return d
+    return Dialog(**metadata, turns=turns, events=events)
 
 
 @given(dialogs())
@@ -343,6 +359,36 @@ def test_plain_projection_property(d):
     ]
 
 
+# what the plain format accepts: any text, and speakers without ": " or "\n"
+plain_speaker_st = st.text(
+    alphabet=st.characters(blacklist_characters="\n", max_codepoint=0x2FF),
+    min_size=1, max_size=8,
+).filter(lambda s: s.strip() and ": " not in s)
+
+plain_text_st = st.lists(
+    st.characters(max_codepoint=0x2FF) | st.sampled_from(["\r", "\n", "\r\n", "\n\r"]),
+    max_size=12,
+).map("".join)
+
+
+@st.composite
+def plain_dialogs(draw):
+    speakers = draw(st.lists(plain_speaker_st, min_size=1, max_size=3, unique=True))
+    turns = st.tuples(st.sampled_from(speakers), plain_text_st)
+    return dialog_from(*draw(st.lists(turns, max_size=6)))
+
+
+@settings(deadline=None)
+@given(plain_dialogs())
+def test_plain_file_round_trip_property(d):
+    with tempfile.TemporaryDirectory() as folder:
+        path = write_dialog_file(d, Path(folder) / "dialog.txt")
+        back = read_dialog_file(path)
+        assert back == deserialize_dialog(path.read_bytes().decode("utf-8"), "plain")
+    assert [(t.speaker, t.text) for t in back.turns] == [
+        (t.speaker, "".join(" " if c in "\r\n" else c for c in t.text)) for t in d.turns]
+
+
 def test_randomized_round_trip_with_events():
     rng = random.Random(7)
     for _ in range(50):
@@ -357,9 +403,9 @@ class TestRender:
         assert render_dialog(d, color=False) == serialize_dialog(d, "plain")
 
     def test_orchestration_shows_instruction(self):
-        d = Dialog().append_event(
-            Event("Assistant", "instruct", "LengthOrchestrator", "keep going", 0)
-        ).append_utterance("Assistant", "ok", 1)
+        d = Dialog(turns=[Turn("Assistant", "ok")], events=[
+            Event("Assistant", "instruct", "LengthOrchestrator", "keep going", 0),
+            Event("Assistant", "utter", None, "ok", 1)])
         out = render_dialog(d, show_orchestration=True, color=False)
         assert "LengthOrchestrator" in out
         assert "keep going" in out
@@ -398,11 +444,25 @@ class TestFileIO:
             (t.speaker, t.text) for t in d.turns
         ]
 
+    @pytest.mark.parametrize("text, read", [("a\rb", "a b"), ("ok\r", "ok "),
+                                            ("c\r\nd", "c  d"), ("e\n\r", "e  ")])
+    def test_txt_reads_each_line_break_in_a_turn_as_a_space(self, tmp_path, text, read):
+        path = write_dialog_file(dialog_from(("A", text), ("B", "next")), tmp_path / "d.txt")
+        back = read_dialog_file(path)
+        assert [(t.speaker, t.text) for t in back.turns] == [("A", read), ("B", "next")]
+        assert back == deserialize_dialog(path.read_bytes().decode("utf-8"), "plain")
+
+    def test_txt_written_with_crlf_line_ends_reads(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"A: hi\r\n\r\nB: yo\r\n")
+        assert [(t.speaker, t.text) for t in read_dialog_file(path).turns] == [
+            ("A", "hi"), ("B", "yo")]
+
     def test_failed_write_keeps_existing_file(self, tmp_path):
         path = write_dialog_file(two_turn_dialog(), tmp_path / "dialog.json")
         before = path.read_bytes()
         # a lone surrogate serializes to str but fails while being encoded
-        broken = Dialog().append_utterance("Alice", "half \ud800 written", 0)
+        broken = dialog_from(("Alice", "half \ud800 written"))
         with pytest.raises(UnicodeEncodeError):
             write_dialog_file(broken, path)
         assert path.read_bytes() == before

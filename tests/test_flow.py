@@ -36,6 +36,7 @@ from helpers import (
     CLIENT_PHRASES,
     bigram_transition_counts,
     build_action_corpus,
+    dialog_from,
     oracle_cosine,
     oracle_embed,
 )
@@ -750,10 +751,9 @@ TIED_TEXTS = ["open account", "account open", "Open Account!", "close my account
 def corpus_of(turn_texts, per_dialog):
     dialogs = []
     for start in range(0, len(turn_texts), per_dialog):
-        dialog = Dialog(id=len(dialogs))
-        for t, text in enumerate(turn_texts[start:start + per_dialog]):
-            dialog = dialog.append_utterance("AB"[t % 2], text, t)
-        dialogs.append(dialog)
+        texts = turn_texts[start:start + per_dialog]
+        dialogs.append(dialog_from(*(("AB"[t % 2], text) for t, text in enumerate(texts)),
+                                   id=len(dialogs)))
     return dialogs
 
 
@@ -819,21 +819,14 @@ def counts_by_label(graph):
 
 class TestBuildFlowGraph:
     def test_k_above_side_distinct_names_side_and_largest_k(self):
-        d = (Dialog()
-             .append_utterance("A", "hello there", 0)
-             .append_utterance("B", "same", 1)
-             .append_utterance("A", "goodbye now", 2)
-             .append_utterance("B", "same", 3))
+        d = dialog_from(("A", "hello there"), ("B", "same"), ("A", "goodbye now"), ("B", "same"))
         # k=4 asks for 2 B-clusters, but B has one distinct utterance
         with pytest.raises(ConfigError, match=r"side 'B'.*largest usable k is 3$"):
             build_flow_graph([d], k=4, seed=0)
         build_flow_graph([d], k=3, seed=0)
 
     def test_single_dialog_is_a_path(self):
-        d = (Dialog()
-             .append_utterance("A", "hello there", 0)
-             .append_utterance("B", "hi yourself", 1)
-             .append_utterance("A", "goodbye now", 2))
+        d = dialog_from(("A", "hello there"), ("B", "hi yourself"), ("A", "goodbye now"))
         graph = build_flow_graph([d], k=3, seed=0)  # 2 A-clusters, 1 B-cluster
         assert all(e.probability == 1.0 for e in graph.edges)
         validate_flow_graph(graph)
@@ -881,15 +874,12 @@ class TestBuildFlowGraph:
             assert node.label in phrases
 
     def test_three_speaker_corpus_rejected(self):
-        d = (Dialog()
-             .append_utterance("A", "x", 0)
-             .append_utterance("B", "y", 1)
-             .append_utterance("C", "z", 2))
+        d = dialog_from(("A", "x"), ("B", "y"), ("C", "z"))
         with pytest.raises(ConfigError):
             build_flow_graph([d], k=3, seed=0)
 
     def test_infeasible_k_rejected(self):
-        d = Dialog().append_utterance("A", "x", 0).append_utterance("B", "y", 1)
+        d = dialog_from(("A", "x"), ("B", "y"))
         with pytest.raises(ConfigError):
             build_flow_graph([d], k=6, seed=0)
 
@@ -914,7 +904,7 @@ class TestBuildFlowGraph:
         assert flow_to_dot(graph) == flow_to_dot(build_flow_graph(corpus, k=6, seed=3))
 
     def test_k_below_sides_rejected(self):
-        d = Dialog().append_utterance("A", "x", 0).append_utterance("B", "y", 1)
+        d = dialog_from(("A", "x"), ("B", "y"))
         with pytest.raises(ConfigError, match=r"k=1 is below the number of speaker sides \(2\)"):
             build_flow_graph([d], k=1, seed=0)
 
@@ -931,19 +921,13 @@ class TestBuildFlowGraph:
         def ragged(text):
             return np.ones(2) if text == "short" else np.ones(3)
 
-        d = (Dialog()
-             .append_utterance("A", "one", 0)
-             .append_utterance("B", "two", 1)
-             .append_utterance("A", "short", 2))
+        d = dialog_from(("A", "one"), ("B", "two"), ("A", "short"))
         with pytest.raises(ConfigError,
                            match=r"shape \(2,\) for turn 2 but \(3,\) for turn 0$"):
             build_flow_graph([d], k=2, seed=0, embedder=ragged)
 
     def test_non_finite_embedding_names_turn(self):
-        d = (Dialog()
-             .append_utterance("A", "one", 0)
-             .append_utterance("B", "two", 1)
-             .append_utterance("A", "bad", 2))
+        d = dialog_from(("A", "one"), ("B", "two"), ("A", "bad"))
 
         def embedder(text):
             return np.array([math.nan, 1.0]) if text == "bad" else np.ones(2)
@@ -954,10 +938,7 @@ class TestBuildFlowGraph:
     @pytest.mark.parametrize("bad", [["a", "b"], [None, None], [1j, 1.0]],
                              ids=["str", "None", "complex"])
     def test_non_real_embedding_names_turn(self, bad):
-        d = (Dialog()
-             .append_utterance("A", "one", 0)
-             .append_utterance("B", "two", 1)
-             .append_utterance("A", "bad", 2))
+        d = dialog_from(("A", "one"), ("B", "two"), ("A", "bad"))
 
         def embedder(text):
             return np.array(bad) if text == "bad" else np.ones(2)
@@ -1059,16 +1040,13 @@ class TestBuildFlowGraph:
         def by_side(text):
             return np.ones(2) if text == "two" else np.ones(3)
 
-        d = (Dialog()
-             .append_utterance("A", "one", 0)
-             .append_utterance("B", "two", 1)
-             .append_utterance("A", "three", 2))
+        d = dialog_from(("A", "one"), ("B", "two"), ("A", "three"))
         with pytest.raises(ConfigError,
                            match=r"shape \(2,\) for turn 1 but \(3,\) for turn 0$"):
             build_flow_graph([d], k=2, seed=0, embedder=by_side)
 
     def test_embedder_must_return_a_vector(self):
-        d = Dialog().append_utterance("A", "one", 0)
+        d = dialog_from(("A", "one"))
         with pytest.raises(ConfigError, match=r"shape \(\) for turn 0"):
             build_flow_graph([d], k=1, seed=0, embedder=lambda text: np.float64(1.0))
 
@@ -1118,10 +1096,7 @@ class TestFlowToDot:
         assert '"START"' in dot and '"END"' in dot
 
     def test_path_graph_edge_count(self):
-        d = (Dialog()
-             .append_utterance("A", "one", 0)
-             .append_utterance("B", "two", 1)
-             .append_utterance("A", "three", 2))
+        d = dialog_from(("A", "one"), ("B", "two"), ("A", "three"))
         dot = flow_to_dot(build_flow_graph([d], k=3, seed=0))
         assert dot.count("->") == 4  # START, two internal, END
 
@@ -1138,6 +1113,6 @@ class TestFlowToDot:
         assert "shape=doublecircle" in dot
 
     def test_quotes_escaped(self):
-        d = Dialog().append_utterance("A", 'say "hi" now', 0)
+        d = dialog_from(("A", 'say "hi" now'))
         dot = flow_to_dot(build_flow_graph([d], k=1, seed=0))
         assert '\\"hi\\"' in dot

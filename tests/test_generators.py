@@ -121,6 +121,14 @@ class TestGenerateDialog:
         dialog = generate_dialog(ScriptedBackend([pair]), BRIEF, seed=1)
         assert dialog.turns[0].text == "smile \U0001F600"
 
+    def test_texts_kept_as_the_model_gave_them(self):
+        texts = ["Hi\n", "Two\nlines\r\n"]
+        array = json.dumps([{"speaker": "Customer", "text": texts[0]},
+                            {"speaker": "Barista", "text": texts[1]}])
+        dialog = generate_dialog(ScriptedBackend([array]), BRIEF, seed=1)
+        assert [t.text for t in dialog.turns] == [e.text for e in dialog.events] == texts
+        dialog.validate()
+
     def test_fix_prompt_sent_on_repair(self):
         captured = []
 

@@ -257,3 +257,11 @@ def test_package_all_lists_each_imported_name_once():
     namespace: dict = {}
     exec("from dialogforge import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(dialogforge.__all__)
+
+
+def test_package_refuses_a_name_it_does_not_export():
+    import dialogforge
+
+    with pytest.raises(AttributeError, match="^module 'dialogforge' has no attribute 'Dialogue'$"):
+        dialogforge.Dialogue
+    assert not hasattr(dialogforge, "MESSAGES")  # defined in orchestrators, not exported

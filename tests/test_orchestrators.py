@@ -240,6 +240,11 @@ class TestSimpleResponse:
 
 
 class TestInstructionList:
+    @pytest.mark.parametrize("plan", [{0: ""}, {0: "a", 3: ""}])
+    def test_empty_instruction_rejected_when_built(self, plan):
+        with pytest.raises(ConfigError, match=r"^plan instruction \d must be non-empty$"):
+            InstructionListOrchestrator(plan)
+
     def test_plan_fires_at_own_turn_indices(self):
         plan = InstructionListOrchestrator({0: "a", 2: "b"})
         agent = Agent(ScriptedBackend(["x1", "x2", "x3"]), ALICE) | plan
